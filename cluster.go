@@ -119,9 +119,6 @@ func (r *ClusterRun) Done() bool { return r.a.Done() }
 // (local demes only).
 func (r *ClusterRun) Event() Event { return r.a.Event() }
 
-// Kind returns the run's snapshot kind tag, KindCluster.
-func (r *ClusterRun) Kind() string { return KindCluster }
-
 // Snapshot returns the serialized shard state at the last completed
 // epoch barrier.
 func (r *ClusterRun) Snapshot() []byte { return r.snap }

@@ -55,6 +55,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"leonardo"
 	"leonardo/internal/engine"
 	"leonardo/internal/gait"
 	"leonardo/internal/gap"
@@ -146,67 +147,27 @@ func run() int {
 	// the process instead of being swallowed during that wind-down.
 	context.AfterFunc(ctx, cancel)
 
-	var resumeData []byte
+	var r leonardo.Runner
 	if *resume != "" {
-		if resumeData, err = os.ReadFile(*resume); err != nil {
+		// The snapshot header, not the flags, decides how a file resumes.
+		data, err := os.ReadFile(*resume)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "evolve:", err)
 			return 1
 		}
-	}
-
-	base := gap.PaperParams(*seed)
-	base.PopulationSize = *pop
-	base.SelectionThreshold = *sel
-	base.CrossoverThreshold = *xov
-	base.MutationsPerGeneration = *mut
-	base.MaxGenerations = *maxGen
-	base.Layout = genome.Layout{Steps: *steps, Legs: genome.Legs}
-	base.RecordHistory = *curve
-
-	// Island dispatch: an explicit -islands N>1, or a resume file whose
-	// header says it was written by an island run — the snapshot kind,
-	// not the flags, decides how a file resumes.
-	resumedKind := ""
-	if resumeData != nil {
-		if resumedKind, err = engine.SnapshotKind(resumeData); err != nil {
+		if r, err = leonardo.ResumeAny(data); err != nil {
 			fmt.Fprintln(os.Stderr, "evolve:", err)
 			return 1
 		}
-	}
-	// Repertoire dispatch first: like the island split, the snapshot
-	// kind — not the flags — decides how a file resumes.
-	if resumedKind == "repertoire" || (resumeData == nil && *repertoireMode) {
-		rp := repertoire.Params{
-			Batch:          *batch,
-			MaxEvaluations: *evals,
-			Seed:           *seed,
-			Workers:        *workers,
-		}
-		if *grid != "" {
-			if n, err := fmt.Sscanf(*grid, "%dx%d", &rp.Headings, &rp.Strides); n != 2 || err != nil {
-				fmt.Fprintf(os.Stderr, "evolve: -grid %q is not of the form HxS (e.g. 16x8)\n", *grid)
-				return 1
-			}
-		}
-		var rep *repertoire.Repertoire
-		if resumeData != nil {
-			if rep, err = repertoire.Restore(resumeData); err != nil {
-				fmt.Fprintln(os.Stderr, "evolve:", err)
-				return 1
-			}
-			rep.SetWorkers(*workers)
-			filled, total := rep.Coverage()
-			fmt.Fprintf(os.Stderr, "evolve: resumed %q at batch %d (%d/%d cells)\n",
-				*resume, rep.Batches(), filled, total)
-		} else if rep, err = repertoire.New(rp); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		return runRepertoire(ctx, rep, *jsonOut, *progress, *checkpoint, *checkpointAt)
-	}
-
-	if resumedKind == "island" || resumedKind == "lanepack" ||
-		(resumeData == nil && (*islands > 1 || *lanepack)) {
+	} else {
+		base := gap.PaperParams(*seed)
+		base.PopulationSize = *pop
+		base.SelectionThreshold = *sel
+		base.CrossoverThreshold = *xov
+		base.MutationsPerGeneration = *mut
+		base.MaxGenerations = *maxGen
+		base.Layout = genome.Layout{Steps: *steps, Legs: genome.Legs}
+		base.RecordHistory = *curve
 		ip := island.Params{
 			Demes:        *islands,
 			MigrateEvery: *migrateEvery,
@@ -214,45 +175,104 @@ func run() int {
 			Workers:      *workers,
 			Base:         base,
 		}
-		if resumeData == nil && *lanepack && ip.Demes <= 1 {
-			ip.Demes = island.MaxLaneDemes
+		switch {
+		case *repertoireMode:
+			rp := repertoire.Params{
+				Batch:          *batch,
+				MaxEvaluations: *evals,
+				Seed:           *seed,
+				Workers:        *workers,
+			}
+			if *grid != "" {
+				if rp.Headings, rp.Strides, err = leonardo.ParseGrid(*grid); err != nil {
+					fmt.Fprintf(os.Stderr, "evolve: -grid %q is not of the form HxS (e.g. 16x8)\n", *grid)
+					return 1
+				}
+			}
+			r, err = leonardo.NewRepertoireRun(rp)
+		case *lanepack:
+			if ip.Demes <= 1 {
+				ip.Demes = island.MaxLaneDemes
+			}
+			r, err = leonardo.NewLanePackRun(ip)
+		case *islands > 1:
+			r, err = leonardo.NewIslandRun(ip)
+		default:
+			r, err = leonardo.NewRun(base)
 		}
-		a, err := buildArchipelago(resumeData, resumedKind, *resume, *lanepack, ip)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "evolve:", err)
 			return 1
 		}
-		return runIslands(ctx, a, *jsonOut, *progress, *checkpoint, *checkpointAt)
 	}
 
-	var g *gap.GAP
-	if resumeData != nil {
-		if g, err = gap.Restore(resumeData, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "evolve: resumed %q at generation %d\n", *resume, g.GenerationNumber())
-	} else {
-		if g, err = gap.New(base); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
+	k, err := adapt(r, *curve)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "evolve:", err)
+		return 1
 	}
+	if *resume != "" {
+		// Workers is pure scheduling, so it is the one flag a resume
+		// honours; everything else comes from the snapshot.
+		if w, ok := r.(interface{ SetWorkers(int) }); ok {
+			w.SetWorkers(*workers)
+		}
+		fmt.Fprintf(os.Stderr, "evolve: resumed %q at %s %d%s\n", *resume, k.unit, k.steps(), k.note())
+	}
+	return drive(ctx, k, *jsonOut, *progress, *checkpoint, *checkpointAt)
+}
 
+// kind adapts one run kind to the shared drive loop: what a Step
+// advances, how progress and the final result print.
+type kind struct {
+	r leonardo.Runner
+	// unit names what one Step advances: generation, epoch, or batch.
+	unit string
+	// steps returns the number of completed units.
+	steps func() int
+	// note returns the resume message's detail (" (8 demes)"), if any.
+	note func() string
+	// progress prints one -progress line to stderr.
+	progress func(ev engine.Event)
+	// report prints the result: the -json document, or the terminal
+	// summary.
+	report func(jsonOut, cancelled bool, checkpoint string, trace []engine.Event) error
+}
+
+// adapt wraps r in its kind's adapter. cmd/evolve drives behavioural,
+// archipelago, lane-packed, and repertoire runs.
+func adapt(r leonardo.Runner, curve bool) (*kind, error) {
+	switch r := r.(type) {
+	case *leonardo.Run:
+		return gapKind(r, curve), nil
+	case *leonardo.IslandRun:
+		return archipelagoKind(r, r), nil
+	case *leonardo.LanePackRun:
+		return archipelagoKind(r, r.Archipelago()), nil
+	case *leonardo.RepertoireRun:
+		return repertoireKind(r), nil
+	default:
+		return nil, fmt.Errorf("cannot drive a %T run", r)
+	}
+}
+
+// drive steps the run to completion (or to the -checkpoint-at step),
+// writes the -checkpoint snapshot, and reports. The first signal
+// cancels at the next step boundary, so the checkpoint and the report
+// still happen, and the exit code is then 130.
+func drive(ctx context.Context, k *kind, jsonOut bool, progress int, checkpoint string, checkpointAt int) int {
 	// Observation: a stride-sampled recorder feeds the JSON trace, a
 	// printing observer feeds the terminal; both only exist when asked
 	// for, so the default run keeps the engine's nil-observer fast path.
 	var observers []engine.Observer
 	var rec *engine.Recorder
-	if *progress > 0 {
-		rec = &engine.Recorder{Every: *progress}
+	if progress > 0 {
+		rec = &engine.Recorder{Every: progress}
 		observers = append(observers, rec)
-		if !*jsonOut {
-			every := *progress
+		if !jsonOut {
 			observers = append(observers, engine.FuncObserver(func(ev engine.Event) {
-				if ev.Generation%every == 0 {
-					fmt.Fprintf(os.Stderr, "gen %6d  best %2d/%2d  mean %5.1f  draws %d\n",
-						ev.Generation, ev.BestEver, g.Result().MaxFitness, ev.MeanFitness, ev.Draws)
+				if k.steps()%progress == 0 {
+					k.progress(ev)
 				}
 			}))
 		}
@@ -263,352 +283,229 @@ func run() int {
 	}
 
 	limit := -1
-	if *checkpointAt > 0 {
-		limit = *checkpointAt - g.GenerationNumber()
-		if limit < 0 {
-			limit = 0
-		}
+	if checkpointAt > 0 {
+		limit = max(checkpointAt-k.steps(), 0)
 	}
-	runErr := engine.Steps(ctx, g, obs, limit)
+	runErr := engine.Steps(ctx, k.r, obs, limit)
 	cancelled := errors.Is(runErr, context.Canceled)
 	if runErr != nil && !cancelled {
 		fmt.Fprintln(os.Stderr, "evolve:", runErr)
 		return 1
 	}
-	res := g.Result()
 
-	if *checkpoint != "" {
-		if err := os.WriteFile(*checkpoint, g.Snapshot(), 0o644); err != nil {
+	if checkpoint != "" {
+		if err := os.WriteFile(checkpoint, k.r.Snapshot(), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "evolve:", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "evolve: snapshot at generation %d written to %q\n",
-			g.GenerationNumber(), *checkpoint)
+		fmt.Fprintf(os.Stderr, "evolve: snapshot at %s %d written to %q\n", k.unit, k.steps(), checkpoint)
 	}
 
-	p := g.Params()
+	var trace []engine.Event
+	if rec != nil {
+		trace = rec.Events()
+	}
+	if err := k.report(jsonOut, cancelled, checkpoint, trace); err != nil {
+		fmt.Fprintln(os.Stderr, "evolve:", err)
+		return 1
+	}
+	if cancelled {
+		return 130
+	}
+	return 0
+}
+
+// encodeJSON writes the -json document to stdout.
+func encodeJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// paperTiming is the on-chip clock model at the run's parameters.
+func paperTiming(p gap.Params) gap.Timing {
 	timing := gap.PaperTiming()
 	timing.Bits = p.Layout.Bits()
 	timing.Population = p.PopulationSize
 	timing.Mutations = p.MutationsPerGeneration
 	timing.CrossoverRate = p.CrossoverThreshold
-
-	if *jsonOut {
-		out := output{
-			Converged:   res.Converged,
-			Cancelled:   cancelled,
-			Generations: res.Generations,
-			BestFitness: res.BestFitness,
-			MaxFitness:  res.MaxFitness,
-			Draws:       res.Draws,
-			OnChipNs:    timing.RunDuration(res.Generations).Nanoseconds(),
-			Checkpoint:  *checkpoint,
-		}
-		if p.Layout == genome.PaperLayout {
-			out.Genome = res.Best.Packed().String()
-		}
-		if rec != nil {
-			out.Trace = rec.Events()
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		if cancelled {
-			return 130
-		}
-		return 0
-	}
-
-	fmt.Printf("converged: %v after %d generations (best fitness %d/%d)\n",
-		res.Converged, res.Generations, res.BestFitness, res.MaxFitness)
-	fmt.Printf("on-chip time at 1 MHz: %v (%s)\n", timing.RunDuration(res.Generations), timing)
-	fmt.Printf("random draws consumed: %d\n\n", res.Draws)
-
-	if p.Layout == genome.PaperLayout {
-		champ := res.Best.Packed()
-		fmt.Println("champion genome:")
-		fmt.Println(" ", champ)
-		fmt.Println(champ.Describe())
-		fmt.Println()
-		fmt.Println("gait diagram (2 cycles):")
-		fmt.Print(gait.Diagram(res.Best, 2))
-		m := robot.Walk(res.Best, robot.Trial{Cycles: 5})
-		fmt.Println("\nsimulated walk (5 cycles):", m)
-	} else {
-		fmt.Println("gait diagram (1 cycle):")
-		fmt.Print(gait.Diagram(res.Best, 1))
-		m := robot.Walk(res.Best, robot.Trial{Cycles: 5})
-		fmt.Println("\nsimulated walk (5 cycles):", m)
-	}
-
-	if *curve && len(res.History) > 0 {
-		var s stats.Series
-		s.Name = "best fitness"
-		for _, h := range res.History {
-			s.Add(float64(h.Generation), float64(h.BestFitness))
-		}
-		fmt.Println()
-		fmt.Print(s.Render(12, 72))
-	}
-	if cancelled {
-		return 130
-	}
-	return 0
+	return timing
 }
 
-// archipelago is the shared surface of the two island backends:
-// *island.Archipelago (one behavioural or gate-level deme per island)
-// and *island.LanePack (one deme per SWAR lane of a shared simulator).
-type archipelago interface {
-	engine.Stepper
-	Snapshot() []byte
-	Result() island.Result
-	Params() island.Params
-	SetWorkers(int)
-	Epochs() int
-	Migrations() int
-	Demes() int
-}
-
-// buildArchipelago constructs or resumes whichever island backend the
-// snapshot kind (on resume) or the -lanepack flag (fresh run) selects.
-func buildArchipelago(resumeData []byte, resumedKind, resumeName string,
-	lanepack bool, p island.Params) (archipelago, error) {
-	if resumeData == nil {
-		if lanepack {
-			return island.NewLanePack(p)
-		}
-		return island.New(p)
-	}
-	var a archipelago
-	var err error
-	if resumedKind == "lanepack" {
-		a, err = island.RestoreLanePack(resumeData)
-	} else {
-		a, err = island.Restore(resumeData, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Workers is pure scheduling, so it is the one flag a resume
-	// honours; everything else comes from the snapshot.
-	a.SetWorkers(p.Workers)
-	fmt.Fprintf(os.Stderr, "evolve: resumed %q at epoch %d (%d demes)\n",
-		resumeName, a.Epochs(), a.Demes())
-	return a, nil
-}
-
-// runIslands is the archipelago branch of run: step the (possibly
-// resumed) archipelago to completion (or to the -checkpoint-at epoch)
-// and report the cross-deme result. Progress and checkpoints are
-// epoch-granular — one epoch is -migrate-every generations per deme.
-func runIslands(ctx context.Context, a archipelago,
-	jsonOut bool, progress int, checkpoint string, checkpointAt int) int {
-	var observers []engine.Observer
-	var rec *engine.Recorder
-	if progress > 0 {
-		rec = &engine.Recorder{Every: progress}
-		observers = append(observers, rec)
-		if !jsonOut {
-			every := progress
-			epoch := a.Epochs()
-			observers = append(observers, engine.FuncObserver(func(ev engine.Event) {
-				epoch++
-				if epoch%every == 0 {
-					fmt.Fprintf(os.Stderr, "epoch %5d  gen %6d  best %2d/%2d  mean %5.1f  migrants %d\n",
-						epoch, ev.Generation, ev.BestEver, a.Result().MaxFitness, ev.MeanFitness, a.Migrations())
+// gapKind adapts a single behavioural GAP run; a step is a generation.
+func gapKind(g *leonardo.Run, curve bool) *kind {
+	return &kind{
+		r:     g,
+		unit:  "generation",
+		steps: g.GenerationNumber,
+		note:  func() string { return "" },
+		progress: func(ev engine.Event) {
+			fmt.Fprintf(os.Stderr, "gen %6d  best %2d/%2d  mean %5.1f  draws %d\n",
+				ev.Generation, ev.BestEver, g.Result().MaxFitness, ev.MeanFitness, ev.Draws)
+		},
+		report: func(jsonOut, cancelled bool, checkpoint string, trace []engine.Event) error {
+			res := g.Result()
+			p := g.Params()
+			timing := paperTiming(p)
+			if jsonOut {
+				out := output{
+					Converged:   res.Converged,
+					Cancelled:   cancelled,
+					Generations: res.Generations,
+					BestFitness: res.BestFitness,
+					MaxFitness:  res.MaxFitness,
+					Draws:       res.Draws,
+					OnChipNs:    timing.RunDuration(res.Generations).Nanoseconds(),
+					Checkpoint:  checkpoint,
+					Trace:       trace,
 				}
-			}))
-		}
-	}
-	var obs engine.Observer
-	if len(observers) > 0 {
-		obs = engine.MultiObserver(observers)
-	}
+				if p.Layout == genome.PaperLayout {
+					out.Genome = res.Best.Packed().String()
+				}
+				return encodeJSON(out)
+			}
 
-	limit := -1
-	if checkpointAt > 0 {
-		limit = checkpointAt - a.Epochs()
-		if limit < 0 {
-			limit = 0
-		}
-	}
-	runErr := engine.Steps(ctx, a, obs, limit)
-	cancelled := errors.Is(runErr, context.Canceled)
-	if runErr != nil && !cancelled {
-		fmt.Fprintln(os.Stderr, "evolve:", runErr)
-		return 1
-	}
-	res := a.Result()
+			fmt.Printf("converged: %v after %d generations (best fitness %d/%d)\n",
+				res.Converged, res.Generations, res.BestFitness, res.MaxFitness)
+			fmt.Printf("on-chip time at 1 MHz: %v (%s)\n", timing.RunDuration(res.Generations), timing)
+			fmt.Printf("random draws consumed: %d\n\n", res.Draws)
 
-	if checkpoint != "" {
-		if err := os.WriteFile(checkpoint, a.Snapshot(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "evolve: snapshot at epoch %d written to %q\n", a.Epochs(), checkpoint)
+			if p.Layout == genome.PaperLayout {
+				champ := res.Best.Packed()
+				fmt.Println("champion genome:")
+				fmt.Println(" ", champ)
+				fmt.Println(champ.Describe())
+				fmt.Println()
+				fmt.Println("gait diagram (2 cycles):")
+				fmt.Print(gait.Diagram(res.Best, 2))
+			} else {
+				fmt.Println("gait diagram (1 cycle):")
+				fmt.Print(gait.Diagram(res.Best, 1))
+			}
+			m := robot.Walk(res.Best, robot.Trial{Cycles: 5})
+			fmt.Println("\nsimulated walk (5 cycles):", m)
+
+			if curve && len(res.History) > 0 {
+				var s stats.Series
+				s.Name = "best fitness"
+				for _, h := range res.History {
+					s.Add(float64(h.Generation), float64(h.BestFitness))
+				}
+				fmt.Println()
+				fmt.Print(s.Render(12, 72))
+			}
+			return nil
+		},
 	}
-
-	ap := a.Params()
-	timing := gap.PaperTiming()
-	timing.Bits = ap.Base.Layout.Bits()
-	timing.Population = ap.Base.PopulationSize
-	timing.Mutations = ap.Base.MutationsPerGeneration
-	timing.CrossoverRate = ap.Base.CrossoverThreshold
-
-	if jsonOut {
-		out := output{
-			Converged:   res.Converged,
-			Cancelled:   cancelled,
-			Generations: res.Generations,
-			BestFitness: res.BestFitness,
-			MaxFitness:  res.MaxFitness,
-			Draws:       res.Draws,
-			Islands:     a.Demes(),
-			Migrations:  res.Migrations,
-			BestDeme:    res.BestDeme,
-			OnChipNs:    timing.RunDuration(res.Generations).Nanoseconds(),
-			Checkpoint:  checkpoint,
-		}
-		if ap.Base.Layout == genome.PaperLayout {
-			out.Genome = res.Best.Packed().String()
-		}
-		if rec != nil {
-			out.Trace = rec.Events()
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		if cancelled {
-			return 130
-		}
-		return 0
-	}
-
-	fmt.Printf("converged: %v after %d generations on %d islands (best fitness %d/%d, deme %d, %d migrants)\n",
-		res.Converged, res.Generations, a.Demes(), res.BestFitness, res.MaxFitness, res.BestDeme, res.Migrations)
-	fmt.Printf("on-chip time per island at 1 MHz: %v (%s)\n", timing.RunDuration(res.Generations), timing)
-	fmt.Printf("random draws consumed: %d\n\n", res.Draws)
-
-	if ap.Base.Layout == genome.PaperLayout {
-		champ := res.Best.Packed()
-		fmt.Println("champion genome:")
-		fmt.Println(" ", champ)
-		fmt.Println(champ.Describe())
-		fmt.Println()
-	}
-	fmt.Println("gait diagram (2 cycles):")
-	fmt.Print(gait.Diagram(res.Best, 2))
-	m := robot.Walk(res.Best, robot.Trial{Cycles: 5})
-	fmt.Println("\nsimulated walk (5 cycles):", m)
-
-	if cancelled {
-		return 130
-	}
-	return 0
 }
 
-// runRepertoire is the MAP-Elites branch of run: step the (possibly
-// resumed) archive to its evaluation budget (or to the -checkpoint-at
-// batch) and report coverage plus the elites. Progress and checkpoints
-// are batch-granular.
-func runRepertoire(ctx context.Context, rep *repertoire.Repertoire,
-	jsonOut bool, progress int, checkpoint string, checkpointAt int) int {
-	var observers []engine.Observer
-	var rec *engine.Recorder
-	if progress > 0 {
-		rec = &engine.Recorder{Every: progress}
-		observers = append(observers, rec)
-		if !jsonOut {
-			every := progress
-			observers = append(observers, engine.FuncObserver(func(ev engine.Event) {
-				if ev.Generation%every == 0 {
-					filled, total := rep.Coverage()
-					fmt.Fprintf(os.Stderr, "batch %5d  evals %7d  cells %4d/%4d  best %2d  mean %5.1f\n",
-						ev.Generation, ev.Evaluations, filled, total, ev.BestEver, ev.MeanFitness)
+// archipelagoKind adapts an island or lane-packed run r whose demes a
+// holds; a step is an epoch (-migrate-every generations per deme).
+func archipelagoKind(r leonardo.Runner, a *island.Archipelago) *kind {
+	return &kind{
+		r:     r,
+		unit:  "epoch",
+		steps: a.Epochs,
+		note:  func() string { return fmt.Sprintf(" (%d demes)", a.Demes()) },
+		progress: func(ev engine.Event) {
+			fmt.Fprintf(os.Stderr, "epoch %5d  gen %6d  best %2d/%2d  mean %5.1f  migrants %d\n",
+				a.Epochs(), ev.Generation, ev.BestEver, a.Result().MaxFitness, ev.MeanFitness, a.Migrations())
+		},
+		report: func(jsonOut, cancelled bool, checkpoint string, trace []engine.Event) error {
+			res := a.Result()
+			base := a.Params().Base
+			timing := paperTiming(base)
+			if jsonOut {
+				out := output{
+					Converged:   res.Converged,
+					Cancelled:   cancelled,
+					Generations: res.Generations,
+					BestFitness: res.BestFitness,
+					MaxFitness:  res.MaxFitness,
+					Draws:       res.Draws,
+					Islands:     a.Demes(),
+					Migrations:  res.Migrations,
+					BestDeme:    res.BestDeme,
+					OnChipNs:    timing.RunDuration(res.Generations).Nanoseconds(),
+					Checkpoint:  checkpoint,
+					Trace:       trace,
 				}
-			}))
-		}
-	}
-	var obs engine.Observer
-	if len(observers) > 0 {
-		obs = engine.MultiObserver(observers)
-	}
+				if base.Layout == genome.PaperLayout {
+					out.Genome = res.Best.Packed().String()
+				}
+				return encodeJSON(out)
+			}
 
-	limit := -1
-	if checkpointAt > 0 {
-		limit = checkpointAt - rep.Batches()
-		if limit < 0 {
-			limit = 0
-		}
-	}
-	runErr := engine.Steps(ctx, rep, obs, limit)
-	cancelled := errors.Is(runErr, context.Canceled)
-	if runErr != nil && !cancelled {
-		fmt.Fprintln(os.Stderr, "evolve:", runErr)
-		return 1
-	}
-	res := rep.Result()
+			fmt.Printf("converged: %v after %d generations on %d islands (best fitness %d/%d, deme %d, %d migrants)\n",
+				res.Converged, res.Generations, a.Demes(), res.BestFitness, res.MaxFitness, res.BestDeme, res.Migrations)
+			fmt.Printf("on-chip time per island at 1 MHz: %v (%s)\n", timing.RunDuration(res.Generations), timing)
+			fmt.Printf("random draws consumed: %d\n\n", res.Draws)
 
-	if checkpoint != "" {
-		if err := os.WriteFile(checkpoint, rep.Snapshot(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "evolve: snapshot at batch %d written to %q\n", rep.Batches(), checkpoint)
+			if base.Layout == genome.PaperLayout {
+				champ := res.Best.Packed()
+				fmt.Println("champion genome:")
+				fmt.Println(" ", champ)
+				fmt.Println(champ.Describe())
+				fmt.Println()
+			}
+			fmt.Println("gait diagram (2 cycles):")
+			fmt.Print(gait.Diagram(res.Best, 2))
+			m := robot.Walk(res.Best, robot.Trial{Cycles: 5})
+			fmt.Println("\nsimulated walk (5 cycles):", m)
+			return nil
+		},
 	}
+}
 
-	if jsonOut {
-		out := repertoireOutput{
-			Cancelled:   cancelled,
-			Filled:      res.Filled,
-			Cells:       res.Cells,
-			BestFitness: res.BestFitness,
-			MaxFitness:  res.MaxFitness,
-			Batches:     res.Batches,
-			Evaluations: res.Evaluations,
-			Draws:       res.Draws,
-			Checkpoint:  checkpoint,
-			Elites:      rep.Elites(),
-		}
-		if rec != nil {
-			out.Trace = rec.Events()
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		if cancelled {
-			return 130
-		}
-		return 0
-	}
+// repertoireKind adapts a MAP-Elites repertoire run; a step is a
+// candidate batch.
+func repertoireKind(rep *leonardo.RepertoireRun) *kind {
+	return &kind{
+		r:     rep,
+		unit:  "batch",
+		steps: rep.Batches,
+		note: func() string {
+			filled, total := rep.Coverage()
+			return fmt.Sprintf(" (%d/%d cells)", filled, total)
+		},
+		progress: func(ev engine.Event) {
+			filled, total := rep.Coverage()
+			fmt.Fprintf(os.Stderr, "batch %5d  evals %7d  cells %4d/%4d  best %2d  mean %5.1f\n",
+				ev.Generation, ev.Evaluations, filled, total, ev.BestEver, ev.MeanFitness)
+		},
+		report: func(jsonOut, cancelled bool, checkpoint string, trace []engine.Event) error {
+			res := rep.Result()
+			if jsonOut {
+				return encodeJSON(repertoireOutput{
+					Cancelled:   cancelled,
+					Filled:      res.Filled,
+					Cells:       res.Cells,
+					BestFitness: res.BestFitness,
+					MaxFitness:  res.MaxFitness,
+					Batches:     res.Batches,
+					Evaluations: res.Evaluations,
+					Draws:       res.Draws,
+					Checkpoint:  checkpoint,
+					Elites:      rep.Elites(),
+					Trace:       trace,
+				})
+			}
 
-	fmt.Printf("repertoire: %d/%d cells after %d evaluations in %d batches (best fitness %d/%d)\n",
-		res.Filled, res.Cells, res.Evaluations, res.Batches, res.BestFitness, res.MaxFitness)
-	fmt.Printf("random draws consumed: %d\n\n", res.Draws)
+			fmt.Printf("repertoire: %d/%d cells after %d evaluations in %d batches (best fitness %d/%d)\n",
+				res.Filled, res.Cells, res.Evaluations, res.Batches, res.BestFitness, res.MaxFitness)
+			fmt.Printf("random draws consumed: %d\n\n", res.Draws)
 
-	fmt.Println("elites (heading rad, stride mm/cycle, fitness):")
-	for _, el := range rep.Elites() {
-		fmt.Printf("  %+6.3f  %7.2f  %2d  %s\n", el.HeadingRad, el.StrideMM, el.Fitness, el.Genome)
+			fmt.Println("elites (heading rad, stride mm/cycle, fitness):")
+			for _, el := range rep.Elites() {
+				fmt.Printf("  %+6.3f  %7.2f  %2d  %s\n", el.HeadingRad, el.StrideMM, el.Fitness, el.Genome)
+			}
+			if res.Filled > 0 {
+				fmt.Println("\nbest elite gait diagram (2 cycles):")
+				fmt.Print(gait.Diagram(genome.FromGenome(res.Best.Genome), 2))
+				m := robot.WalkGenome(res.Best.Genome, robot.Trial{Cycles: 5})
+				fmt.Println("\nsimulated walk (5 cycles):", m)
+			}
+			return nil
+		},
 	}
-	if res.Filled > 0 {
-		fmt.Println("\nbest elite gait diagram (2 cycles):")
-		fmt.Print(gait.Diagram(genome.FromGenome(res.Best.Genome), 2))
-		m := robot.WalkGenome(res.Best.Genome, robot.Trial{Cycles: 5})
-		fmt.Println("\nsimulated walk (5 cycles):", m)
-	}
-
-	if cancelled {
-		return 130
-	}
-	return 0
 }

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"leonardo/internal/engine"
+	"leonardo"
 )
 
 // TestMain lets the test binary stand in for the evolve command: when
@@ -89,7 +89,7 @@ func TestInterruptWritesCheckpointAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no checkpoint written on interrupt: %v", err)
 	}
-	if kind, err := engine.SnapshotKind(data); err != nil || kind != "gap" {
+	if kind, err := leonardo.SnapshotKind(data); err != nil || kind != "gap" {
 		t.Fatalf("checkpoint sniffs as %q, %v", kind, err)
 	}
 
@@ -153,7 +153,7 @@ func TestInterruptIslandRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no checkpoint written on interrupt: %v", err)
 	}
-	if kind, err := engine.SnapshotKind(data); err != nil || kind != "island" {
+	if kind, err := leonardo.SnapshotKind(data); err != nil || kind != "island" {
 		t.Fatalf("checkpoint sniffs as %q, %v", kind, err)
 	}
 }
@@ -181,7 +181,7 @@ func TestRepertoirePauseAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no checkpoint written at pause: %v", err)
 	}
-	if kind, err := engine.SnapshotKind(data); err != nil || kind != "repertoire" {
+	if kind, err := leonardo.SnapshotKind(data); err != nil || kind != "repertoire" {
 		t.Fatalf("checkpoint sniffs as %q, %v", kind, err)
 	}
 

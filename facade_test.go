@@ -52,8 +52,8 @@ func TestRunPauseResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Generation() != r.Generation() {
-		t.Fatalf("resumed at generation %d, paused at %d", resumed.Generation(), r.Generation())
+	if resumed.GenerationNumber() != r.GenerationNumber() {
+		t.Fatalf("resumed at generation %d, paused at %d", resumed.GenerationNumber(), r.GenerationNumber())
 	}
 	res, err := resumed.RunCtx(context.Background(), nil)
 	if err != nil {
@@ -109,8 +109,8 @@ func TestIslandRunPauseResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Epoch() != r.Epoch() {
-		t.Fatalf("resumed at epoch %d, paused at %d", resumed.Epoch(), r.Epoch())
+	if resumed.Epochs() != r.Epochs() {
+		t.Fatalf("resumed at epoch %d, paused at %d", resumed.Epochs(), r.Epochs())
 	}
 	res, err := resumed.RunCtx(context.Background(), nil)
 	if err != nil {
@@ -170,8 +170,8 @@ func TestLanePackRunFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runner.Kind() != KindLanePack {
-		t.Fatalf("runner kind %q, want %q", runner.Kind(), KindLanePack)
+	if kind, err := SnapshotKind(runner.Snapshot()); err != nil || kind != KindLanePack {
+		t.Fatalf("runner kind %q (%v), want %q", kind, err, KindLanePack)
 	}
 	lp := runner.(*LanePackRun)
 
@@ -207,8 +207,8 @@ func TestLanePackRunFacade(t *testing.T) {
 	if !ok {
 		t.Fatalf("ResumeAny returned %T, want *LanePackRun", resumedAny)
 	}
-	if resumed.Epoch() != 2 {
-		t.Fatalf("resumed at epoch %d, paused at 2", resumed.Epoch())
+	if resumed.Epochs() != 2 {
+		t.Fatalf("resumed at epoch %d, paused at 2", resumed.Epochs())
 	}
 	res, err := resumed.RunCtx(context.Background(), nil)
 	if err != nil {
@@ -229,7 +229,7 @@ func TestLanePackSpecDefaultsTo64Demes(t *testing.T) {
 		t.Fatal(err)
 	}
 	lp := runner.(*LanePackRun)
-	if got := lp.lp.Params().Demes; got != DefaultLanePackDemes {
+	if got := lp.Params().Demes; got != DefaultLanePackDemes {
 		t.Fatalf("defaulted to %d demes, want %d", got, DefaultLanePackDemes)
 	}
 }

@@ -15,9 +15,13 @@ import (
 //
 // Error propagation replaces the fire-and-forget semantics of the old
 // per-package worker pools: the first task error (or context end) stops
-// the sweep — no new indices are issued, in-flight tasks finish — and
-// is returned alongside the partial results. Slots whose task never ran
-// hold the zero value.
+// the sweep and is returned alongside the partial results. Slots whose
+// task never ran hold the zero value. The stop bound is: once the error
+// is recorded, no worker starts more than one further task, and
+// in-flight tasks finish. Map does not promise to stop early in task
+// count — until the failing worker records its error, the other
+// workers keep claiming indices, and under a hostile schedule they may
+// drain the sweep first.
 func Map[T any](ctx context.Context, workers, n int, f func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
@@ -47,6 +51,9 @@ func Map[T any](ctx context.Context, workers, n int, f func(i int) (T, error)) (
 		}
 		mu.Unlock()
 		stopped.Store(true)
+		if testHookStopped != nil {
+			testHookStopped()
+		}
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -75,3 +82,7 @@ func Map[T any](ctx context.Context, workers, n int, f func(i int) (T, error)) (
 	wg.Wait()
 	return out, firstErr
 }
+
+// testHookStopped, when set by a test, runs each time a sweep records
+// its stop.
+var testHookStopped func()

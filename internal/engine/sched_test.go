@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -40,13 +41,32 @@ func TestMapSingleWorkerIsSequential(t *testing.T) {
 	}
 }
 
+// TestMapErrorStopsSweep pins Map's stop bound: once a task error is
+// recorded, no worker starts more than one further task. Every task
+// after the failing one blocks until the stop is recorded, so the other
+// worker cannot finish work early whatever the schedule — the bound is
+// checked at its tightest, without timing assumptions.
 func TestMapErrorStopsSweep(t *testing.T) {
+	const workers, n, failAt = 2, 1000, 3
+	recorded := make(chan struct{})
+	var once sync.Once
+	testHookStopped = func() { once.Do(func() { close(recorded) }) }
+	defer func() { testHookStopped = nil }()
+
 	boom := errors.New("boom")
-	var calls atomic.Int32
-	_, err := Map(context.Background(), 2, 1000, func(i int) (int, error) {
+	var calls, late atomic.Int32
+	_, err := Map(context.Background(), workers, n, func(i int) (int, error) {
 		calls.Add(1)
-		if i == 3 {
+		select {
+		case <-recorded:
+			late.Add(1)
+		default:
+		}
+		if i == failAt {
 			return 0, boom
+		}
+		if i > failAt {
+			<-recorded
 		}
 		return i, nil
 	})
@@ -56,8 +76,11 @@ func TestMapErrorStopsSweep(t *testing.T) {
 	if !strings.Contains(err.Error(), "task 3") {
 		t.Fatalf("error does not identify the task: %v", err)
 	}
-	if n := calls.Load(); n >= 1000 {
-		t.Fatalf("sweep did not stop early (%d calls)", n)
+	if l := late.Load(); l > workers-1 {
+		t.Fatalf("%d tasks started after the stop was recorded, want at most %d", l, workers-1)
+	}
+	if c := calls.Load(); c > failAt+workers {
+		t.Fatalf("sweep ran %d tasks, want at most %d", c, failAt+workers)
 	}
 }
 

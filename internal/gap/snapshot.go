@@ -19,16 +19,16 @@ import (
 // be an arbitrary Go value); Restore takes it as an argument, nil
 // meaning the paper's three-rule evaluator, exactly as New does.
 
-const (
-	snapKind    = "gap"
-	snapVersion = 1
-)
+// SnapKind is the kind tag of a GAP snapshot header.
+const SnapKind = "gap"
+
+const snapVersion = 1
 
 // Snapshot serializes the complete GAP state. Call it only at a
 // generation boundary (between Step calls); the engine loop guarantees
 // this for observer-triggered snapshots.
 func (g *GAP) Snapshot() []byte {
-	e := engine.NewEnc(snapKind, snapVersion)
+	e := engine.NewEnc(SnapKind, snapVersion)
 	// Parameters needed to rebuild an identical machine.
 	e.Int(g.p.Layout.Steps)
 	e.Int(g.p.Layout.Legs)
@@ -75,7 +75,7 @@ func (g *GAP) Snapshot() []byte {
 // populations, scores, and the RNG stream position come back verbatim,
 // so the continued run is bit-identical to an uninterrupted one.
 func Restore(data []byte, obj Objective) (*GAP, error) {
-	d, err := engine.NewDec(data, snapKind)
+	d, err := engine.NewDec(data, SnapKind)
 	if err != nil {
 		return nil, err
 	}

@@ -278,7 +278,7 @@ func (g *LaneDemes) replaceWorst(lane int, imm genome.Genome) bool {
 }
 
 // LaneDeme is one lane of a LaneDemes group viewed as an island deme:
-// it satisfies island.Settler, so the archipelago's ring migration,
+// it satisfies island.Deme, so the archipelago's ring migration,
 // latch-then-commit discipline, and epoch accounting run over lanes
 // exactly as they run over scalar demes. Step advances the whole
 // group by one generation (a no-op if another view already did);
@@ -338,7 +338,7 @@ func (d *LaneDeme) Best() (genome.Extended, int) {
 	return genome.FromGenome(bg), fit
 }
 
-// Immigrate implements island.Settler: accept a champion from another
+// Immigrate implements island.Deme: accept a champion from another
 // island by replacing this lane's worst basis individual, if the
 // champion improves on it. The circuit's best register picks the
 // immigrant up on the lane's next evaluation scan, exactly as it picks

@@ -161,10 +161,7 @@ func (d *Driver) Results() []LaneResult { return d.res }
 
 // Best returns the best individual across all lanes — latched results
 // for finished lanes, the live best register otherwise — as an extended
-// genome on the paper layout. Together with Step/Done/Event/Snapshot it
-// lets a Driver serve as an island deme (internal/island); the
-// population lives in circuit RAM, so a gate-level deme emigrates its
-// champion but does not accept immigrants.
+// genome on the paper layout.
 func (d *Driver) Best() (genome.Extended, int) {
 	var bg genome.Genome
 	best := -1
@@ -190,17 +187,17 @@ func (d *Driver) RunCtx(ctx context.Context, obs engine.Observer) ([]LaneResult,
 	return d.res, err
 }
 
-const (
-	driverSnapKind    = "gapcirc"
-	driverSnapVersion = 1
-)
+// DriverSnapKind is the kind tag of a Driver snapshot header.
+const DriverSnapKind = "gapcirc"
+
+const driverSnapVersion = 1
 
 // Snapshot serializes the driver: build parameters, per-lane results,
 // and the complete sequential state of the simulator. Circuit
 // construction is deterministic, so the rebuilt circuit's node order —
 // which keys the simulator state — matches by construction.
 func (d *Driver) Snapshot() []byte {
-	e := engine.NewEnc(driverSnapKind, driverSnapVersion)
+	e := engine.NewEnc(DriverSnapKind, driverSnapVersion)
 	p := d.core.Params
 	e.Int(p.Layout.Steps)
 	e.Int(p.Layout.Legs)
@@ -231,7 +228,7 @@ func (d *Driver) Snapshot() []byte {
 // fresh simulator, and overwrites its sequential state, so the
 // continued run is cycle-identical to one that was never interrupted.
 func RestoreDriver(data []byte) (*Driver, error) {
-	dec, err := engine.NewDec(data, driverSnapKind)
+	dec, err := engine.NewDec(data, DriverSnapKind)
 	if err != nil {
 		return nil, err
 	}

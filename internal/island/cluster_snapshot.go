@@ -18,18 +18,15 @@ import (
 // (MergeShardSnapshots), which is the acceptance check the distributed
 // differential tests pin.
 
-const (
-	clusterSnapKind    = "cluster"
-	clusterSnapVersion = 1
-)
-
 // ClusterSnapKind is the snapshot kind written by shard archipelagos.
-const ClusterSnapKind = clusterSnapKind
+const ClusterSnapKind = "cluster"
+
+const clusterSnapVersion = 1
 
 // shardSnapshot serializes a shard (called from Snapshot when the
 // archipelago was built by NewShard or RestoreShard).
 func (a *Archipelago) shardSnapshot() []byte {
-	e := engine.NewEnc(clusterSnapKind, clusterSnapVersion)
+	e := engine.NewEnc(ClusterSnapKind, clusterSnapVersion)
 	e.Int(a.shard.Nodes)
 	e.Int(a.shard.Index)
 	encodeHeader(e, a.p)
@@ -54,7 +51,7 @@ type shardSnap struct {
 
 // decodeShard parses a "cluster" snapshot without rebuilding demes.
 func decodeShard(data []byte, obj gap.Objective) (*shardSnap, error) {
-	d, err := engine.NewDec(data, clusterSnapKind)
+	d, err := engine.NewDec(data, ClusterSnapKind)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +164,7 @@ func MergeShardSnapshots(parts [][]byte) ([]byte, error) {
 				s.sh.Index, s.epochs, ref.sh.Index, ref.epochs)
 		}
 	}
-	e := engine.NewEnc(snapKind, snapVersion)
+	e := engine.NewEnc(SnapKind, snapVersion)
 	encodeHeader(e, ref.p)
 	e.Int(ref.epochs)
 	migrants := 0

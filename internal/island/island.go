@@ -126,8 +126,9 @@ func DemeSeed(master uint64, deme int) uint64 {
 	return z
 }
 
-// Deme is one island: a stepper that exposes its champion and can
-// checkpoint itself. *gap.GAP and *gapcirc.Driver both satisfy it.
+// Deme is one island: a stepper that exposes its champion, accepts
+// immigrants, and can checkpoint itself. *gap.GAP and
+// *gapcirc.LaneDeme both satisfy it.
 type Deme interface {
 	engine.Stepper
 	// Snapshot serializes the deme with the engine codec; Restore
@@ -135,14 +136,8 @@ type Deme interface {
 	Snapshot() []byte
 	// Best returns the deme's best individual and its fitness.
 	Best() (genome.Extended, int)
-}
-
-// Settler is a Deme that can accept an immigrant. The behavioural GAP
-// is a Settler; the gate-level driver is not (its population lives in
-// circuit RAM), so it emigrates its champion but receives nothing —
-// migration simply skips non-Settler destinations.
-type Settler interface {
-	Deme
+	// Immigrate offers the deme a champion from another island; the
+	// deme draws its own replacement decision.
 	Immigrate(genome.Extended) error
 }
 
@@ -174,7 +169,7 @@ func (f DemeObserverFunc) OnDemeGeneration(ev DemeEvent) { f(ev) }
 // engine.Stepper whose Step advances every deme by one epoch
 // (MigrateEvery generations, concurrently via engine.Map) and then
 // migrates at the barrier. Create with New (gap demes) or NewWithDemes
-// (custom/mixed demes), restore with Restore.
+// (custom demes), restore with Restore.
 type Archipelago struct {
 	p     Params
 	obj   gap.Objective
@@ -222,10 +217,9 @@ func New(p Params) (*Archipelago, error) {
 	return &Archipelago{p: p, obj: resolveObjective(p.Base), demes: demes}, nil
 }
 
-// NewWithDemes wraps caller-built demes (for example gapcirc.Driver
-// instances, or a mix of behavioural and gate-level demes) in an
-// archipelago. len(demes) must equal p.Demes; the caller owns seed
-// derivation for demes it builds itself.
+// NewWithDemes wraps caller-built demes (for example gapcirc.LaneDeme
+// views) in an archipelago. len(demes) must equal p.Demes; the caller
+// owns seed derivation for demes it builds itself.
 func NewWithDemes(p Params, demes []Deme) (*Archipelago, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -395,9 +389,8 @@ func (a *Archipelago) Step() error {
 // handed to the transport as epoch-stamped emigrants addressed ring-wise
 // to global deme (g+1) mod Demes; the returned immigrants — however they
 // travelled — are committed in global source order, each via the
-// destination deme's own tournament draw. Non-Settler destinations are
-// skipped; demes that already finished keep their final population
-// untouched.
+// destination deme's own tournament draw. Demes that already finished
+// keep their final population untouched.
 func (a *Archipelago) migrate() error {
 	global := a.p.Demes
 	if a.p.Topology != Ring || global < 2 {
@@ -424,11 +417,10 @@ func (a *Archipelago) migrate() error {
 				e.From, e.To, a.offset, a.offset+len(a.demes))
 		}
 		dst := a.demes[li]
-		s, ok := dst.(Settler)
-		if !ok || dst.Done() {
+		if dst.Done() {
 			continue
 		}
-		if err := s.Immigrate(e.Genome); err != nil {
+		if err := dst.Immigrate(e.Genome); err != nil {
 			return fmt.Errorf("island: migration %d -> %d: %w", e.From, e.To, err)
 		}
 		a.migrants++

@@ -8,7 +8,6 @@ import (
 	"leonardo/internal/engine"
 	"leonardo/internal/fitness"
 	"leonardo/internal/gap"
-	"leonardo/internal/gapcirc"
 )
 
 // unreachable wraps the paper evaluator with an unattainable maximum so
@@ -263,60 +262,6 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		if _, err := Restore(data, nil); err == nil {
 			t.Errorf("%s snapshot accepted", name)
 		}
-	}
-}
-
-// TestMixedArchipelago runs a behavioural deme next to a gate-level
-// driver deme: the driver emigrates its champion into the ring but
-// accepts no immigrants, and the mixed archipelago snapshot round-trips
-// by sub-snapshot kind.
-func TestMixedArchipelago(t *testing.T) {
-	base := gap.PaperParams(1)
-	base.PopulationSize = 8
-
-	soft, err := gap.New(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hard, err := gapcirc.NewDriver(base, gapcirc.BuildOpts{}, []uint64{3, 9}, 6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p := Params{Demes: 2, MigrateEvery: 2, Topology: Ring, Base: base}
-	a, err := NewWithDemes(p, []Deme{soft, hard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := engine.Steps(context.Background(), a, nil, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Only deme 1 -> deme 0 lands (deme 0 is the only Settler).
-	if a.Migrations() != 1 {
-		t.Fatalf("mixed ring accepted %d migrants after one epoch, want 1", a.Migrations())
-	}
-
-	snap := a.Snapshot()
-	r, err := Restore(snap, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r.Snapshot(), snap) {
-		t.Fatal("mixed archipelago restore is not snapshot-stable")
-	}
-	if _, ok := r.Deme(0).(*gap.GAP); !ok {
-		t.Fatalf("deme 0 restored as %T, want *gap.GAP", r.Deme(0))
-	}
-	if _, ok := r.Deme(1).(*gapcirc.Driver); !ok {
-		t.Fatalf("deme 1 restored as %T, want *gapcirc.Driver", r.Deme(1))
-	}
-
-	res, err := r.RunCtx(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestFitness <= 0 {
-		t.Fatalf("mixed archipelago produced no champion: %+v", res)
 	}
 }
 

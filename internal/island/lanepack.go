@@ -14,10 +14,10 @@ import (
 // gate-level GAP circuit (gapcirc.LaneDemes), so advancing the
 // archipelago one epoch costs one circuit pass per clock cycle for all
 // demes together instead of one pass per deme. The island-model
-// semantics are untouched — the lane views satisfy the same Deme and
-// Settler contracts as behavioural GAPs, so ring migration,
-// latch-then-commit, epoch barriers, and observers all run unchanged
-// over lanes; only the stepping substrate differs.
+// semantics are untouched — the lane views satisfy the same Deme
+// contract as behavioural GAPs, so ring migration, latch-then-commit,
+// epoch barriers, and observers all run unchanged over lanes; only the
+// stepping substrate differs.
 //
 // The equivalence is proved differentially (lanepack_test.go): a
 // lane-packed archipelago replays, deme by deme and bit for bit, an
@@ -140,10 +140,11 @@ func (lp *LanePack) RunCtx(ctx context.Context, obs engine.Observer) (Result, er
 	return lp.arch.Result(), err
 }
 
-const (
-	lanePackSnapKind    = "lanepack"
-	lanePackSnapVersion = 1
-)
+// LanePackSnapKind is the kind tag of a lane-packed archipelago
+// snapshot header.
+const LanePackSnapKind = "lanepack"
+
+const lanePackSnapVersion = 1
 
 // Snapshot serializes the lane-packed archipelago: the island header
 // (resolved parameters plus the migration cursor, mirroring the
@@ -152,7 +153,7 @@ const (
 // between Steps.
 func (lp *LanePack) Snapshot() []byte {
 	a := lp.arch
-	e := engine.NewEnc(lanePackSnapKind, lanePackSnapVersion)
+	e := engine.NewEnc(LanePackSnapKind, lanePackSnapVersion)
 	e.Int(a.p.Demes)
 	e.Int(a.p.MigrateEvery)
 	e.Blob([]byte(a.p.Topology))
@@ -174,7 +175,7 @@ func (lp *LanePack) Snapshot() []byte {
 // The restored run continues bit-identically to one that was never
 // interrupted (proved by the differential tests).
 func RestoreLanePack(data []byte) (*LanePack, error) {
-	d, err := engine.NewDec(data, lanePackSnapKind)
+	d, err := engine.NewDec(data, LanePackSnapKind)
 	if err != nil {
 		return nil, err
 	}

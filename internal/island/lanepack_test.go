@@ -11,11 +11,8 @@ import (
 )
 
 // Compile-time wiring: a lane view is a full citizen of the island
-// model — deme and settler — and the lane pack is an engine stepper.
-var (
-	_ Settler = (*gapcirc.LaneDeme)(nil)
-	_ Deme    = (*gapcirc.LaneDeme)(nil)
-)
+// model, immigration included.
+var _ Deme = (*gapcirc.LaneDeme)(nil)
 
 // lanePackParams returns a small-but-real archipelago configuration:
 // ring migration every 5 generations, 30-generation budget, 8-genome

@@ -12,15 +12,15 @@ import (
 // Checkpointing for the archipelago. A snapshot is the archipelago
 // header — resolved parameters plus the migration cursor — followed by
 // one length-prefixed sub-snapshot per deme, each a complete snapshot
-// in its own kind ("gap" for behavioural demes, "gapcirc" for
-// gate-level ones). Restore dispatches on each sub-snapshot's kind, so
-// mixed archipelagos round-trip too. Snapshots are only valid at epoch
-// boundaries, which the engine loop guarantees between Steps.
+// in its own kind ("gap" for behavioural demes, "lanedemes" for a
+// single-lane gate-level group). Restore dispatches on each
+// sub-snapshot's kind. Snapshots are only valid at epoch boundaries,
+// which the engine loop guarantees between Steps.
 
-const (
-	snapKind    = "island"
-	snapVersion = 1
-)
+// SnapKind is the kind tag of an archipelago snapshot header.
+const SnapKind = "island"
+
+const snapVersion = 1
 
 // encodeHeader writes the archipelago parameter header — the exact
 // byte layout shared by the "island" and "cluster" kinds, which is what
@@ -91,7 +91,7 @@ func (a *Archipelago) Snapshot() []byte {
 	if a.shard != nil {
 		return a.shardSnapshot()
 	}
-	e := engine.NewEnc(snapKind, snapVersion)
+	e := engine.NewEnc(SnapKind, snapVersion)
 	encodeHeader(e, a.p)
 	// Migration cursor.
 	e.Int(a.epochs)
@@ -109,7 +109,7 @@ func (a *Archipelago) Snapshot() []byte {
 // the continuation to be meaningful. The restored archipelago continues
 // bit-identically to one that was never interrupted.
 func Restore(data []byte, obj gap.Objective) (*Archipelago, error) {
-	d, err := engine.NewDec(data, snapKind)
+	d, err := engine.NewDec(data, SnapKind)
 	if err != nil {
 		return nil, err
 	}
@@ -150,8 +150,7 @@ func Restore(data []byte, obj gap.Objective) (*Archipelago, error) {
 }
 
 // restoreDeme rebuilds deme i (global index, for error context) from
-// its sub-snapshot, dispatching on the sub-snapshot's kind so mixed
-// archipelagos round-trip too.
+// its sub-snapshot, dispatching on the sub-snapshot's kind.
 func restoreDeme(sub []byte, obj gap.Objective, i int) (Deme, error) {
 	kind, err := engine.SnapshotKind(sub)
 	if err != nil {
@@ -164,12 +163,6 @@ func restoreDeme(sub []byte, obj gap.Objective, i int) (Deme, error) {
 			return nil, fmt.Errorf("island: deme %d: %w", i, err)
 		}
 		return g, nil
-	case "gapcirc":
-		dr, err := gapcirc.RestoreDriver(sub)
-		if err != nil {
-			return nil, fmt.Errorf("island: deme %d: %w", i, err)
-		}
-		return dr, nil
 	case "lanedemes":
 		// A single-lane group round-trips as an ordinary deme (its
 		// view's Snapshot is the group snapshot). A multi-lane group

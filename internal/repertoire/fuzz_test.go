@@ -35,8 +35,8 @@ func FuzzRepertoireSnapshot(f *testing.F) {
 	f.Add([]byte("LEO"))
 	f.Add([]byte("LEOSNAP\x00"))
 	f.Add([]byte("XEOSNAP\x00\x0arepertoire"))
-	f.Add(engine.NewEnc(snapKind, snapVersion).Bytes())   // header only, no body
-	f.Add(engine.NewEnc(snapKind, snapVersion+1).Bytes()) // future version
+	f.Add(engine.NewEnc(SnapKind, snapVersion).Bytes())   // header only, no body
+	f.Add(engine.NewEnc(SnapKind, snapVersion+1).Bytes()) // future version
 	f.Add(engine.NewEnc("island", 1).Bytes())             // wrong kind
 	f.Add(fuzzSnapshotSeed(f, 5, 1))
 	f.Add(fuzzSnapshotSeed(f, 9, 6))

@@ -16,14 +16,14 @@ import (
 // Snapshots are only valid at batch boundaries, which the engine loop
 // guarantees between Steps; a restored run continues bit-identically.
 
-const (
-	snapKind    = "repertoire"
-	snapVersion = 1
-)
+// SnapKind is the kind tag of a repertoire snapshot header.
+const SnapKind = "repertoire"
+
+const snapVersion = 1
 
 // Snapshot serializes the complete run state.
 func (r *Repertoire) Snapshot() []byte {
-	e := engine.NewEnc(snapKind, snapVersion)
+	e := engine.NewEnc(SnapKind, snapVersion)
 	// Parameters (defaults resolved at construction).
 	e.Int(r.p.Headings)
 	e.Int(r.p.Strides)
@@ -60,7 +60,7 @@ func (r *Repertoire) Snapshot() []byte {
 // Restore rebuilds a run from a Snapshot. The restored run continues
 // bit-identically to one that was never interrupted.
 func Restore(data []byte) (*Repertoire, error) {
-	d, err := engine.NewDec(data, snapKind)
+	d, err := engine.NewDec(data, SnapKind)
 	if err != nil {
 		return nil, err
 	}

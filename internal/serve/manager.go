@@ -256,7 +256,7 @@ func New(cfg Config) (*Manager, error) {
 		m.cluster = cl
 	}
 	if cfg.Spool != "" {
-		sp, err := newSpool(cfg.Spool, cfg.Logf)
+		sp, err := newSpool(cfg.Spool)
 		if err != nil {
 			m.shutdownCluster()
 			cancel()
@@ -338,45 +338,43 @@ func (m *Manager) reviveLocked(r *run) error {
 	if err != nil {
 		return err
 	}
+	runner, err := m.buildRunner(r.spec, snap, false)
+	if err != nil {
+		return err
+	}
 	if snap != nil {
-		var runner leonardo.Runner
-		if kind, err := leonardo.SnapshotKind(snap); err == nil && kind == leonardo.KindCluster {
-			runner, err = m.resumeClusterRunner(r.spec, snap)
-			if err != nil {
-				return err
-			}
-		} else {
-			runner, err = leonardo.ResumeAny(snap)
-			if err != nil {
-				return err
-			}
-		}
 		// Worker count is pure scheduling: it is the one knob a resume
 		// does not inherit from the snapshot.
 		if w, ok := runner.(interface{ SetWorkers(int) }); ok {
 			w.SetWorkers(r.spec.Workers)
 		}
-		r.runner = runner
 		r.resumed = true
 		r.snap = snap
 		r.snapHash = h
-	} else if r.spec.Kind == leonardo.KindCluster {
-		runner, err := m.newClusterRunner(r.spec, false)
-		if err != nil {
-			return err
-		}
-		r.runner = runner
-	} else {
-		runner, err := r.spec.NewRunner()
-		if err != nil {
-			return err
-		}
-		r.runner = runner
 	}
+	r.runner = runner
 	r.ev = r.runner.Event()
 	r.lastGen = r.ev.Generation
 	r.lastEval = r.ev.Evaluations
 	return nil
+}
+
+// buildRunner constructs a run's engine: resumed from snap when one
+// exists, else fresh from the spec. Cluster specs go through this
+// node's fleet plumbing; fresh is the Submit path (see
+// newClusterRunner).
+func (m *Manager) buildRunner(spec leonardo.RunSpec, snap []byte, fresh bool) (leonardo.Runner, error) {
+	cluster := spec.Kind == leonardo.KindCluster
+	switch {
+	case snap != nil && cluster:
+		return m.resumeClusterRunner(spec, snap)
+	case snap != nil:
+		return leonardo.ResumeAny(snap)
+	case cluster:
+		return m.newClusterRunner(spec, fresh)
+	default:
+		return spec.NewRunner()
+	}
 }
 
 func unstamp(s string) time.Time {
@@ -406,13 +404,7 @@ func (m *Manager) Submit(spec leonardo.RunSpec) (Info, error) {
 	m.mu.Unlock()
 
 	// Construct outside the lock: circuit specs compile a full netlist.
-	var runner leonardo.Runner
-	var err error
-	if spec.Kind == leonardo.KindCluster {
-		runner, err = m.newClusterRunner(spec, true)
-	} else {
-		runner, err = spec.NewRunner()
-	}
+	runner, err := m.buildRunner(spec, nil, true)
 	if err != nil {
 		return Info{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}

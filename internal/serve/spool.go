@@ -30,10 +30,6 @@ import (
 // The meta file alone is enough to rebuild a run that never
 // checkpointed — the trajectory is a pure function of the spec — and
 // the snapshot, when present, wins.
-//
-// Spools written by earlier versions hold flat <id>.snap files; open
-// migrates them into the store (read, Put, Link, remove) so old
-// daemons upgrade in place.
 
 // meta is the persisted registry entry for one run.
 type meta struct {
@@ -55,7 +51,7 @@ type spool struct {
 	st  *store.Store
 }
 
-func newSpool(dir string, logf func(string, ...any)) (*spool, error) {
+func newSpool(dir string) (*spool, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("serve: spool: %w", err)
 	}
@@ -63,48 +59,7 @@ func newSpool(dir string, logf func(string, ...any)) (*spool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: spool: %w", err)
 	}
-	sp := &spool{dir: dir, st: st}
-	if err := sp.migrateFlatSnaps(logf); err != nil {
-		return nil, err
-	}
-	return sp, nil
-}
-
-// migrateFlatSnaps moves legacy flat <id>.snap files into the store.
-// The flat file is removed only after its bytes are durably linked, so
-// a crash mid-migration re-migrates idempotently (Put dedups; Link to
-// the same hash is a no-op write). An unreadable flat file is skipped
-// with a log line — it is exactly as lost as it already was.
-func (s *spool) migrateFlatSnaps(logf func(string, ...any)) error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("serve: spool: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		id, ok := strings.CutSuffix(name, ".snap")
-		if !ok || id == "" || e.IsDir() {
-			continue
-		}
-		path := filepath.Join(s.dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			logf("serve: spool: migrate %s: %v", name, err)
-			continue
-		}
-		h, err := s.st.Put(data)
-		if err != nil {
-			return fmt.Errorf("serve: spool: migrate %s: %w", name, err)
-		}
-		if err := s.st.Link(id, h); err != nil {
-			return fmt.Errorf("serve: spool: migrate %s: %w", name, err)
-		}
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("serve: spool: migrate %s: %w", name, err)
-		}
-		logf("serve: spool: migrated %s into the snapshot store (%s)", name, h.Hex()[:12])
-	}
-	return nil
+	return &spool{dir: dir, st: st}, nil
 }
 
 // atomicWrite lands data at path via a temp file and rename, so readers

@@ -24,6 +24,8 @@ package leonardo
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"leonardo/internal/core"
@@ -90,60 +92,20 @@ func EvolveCtx(ctx context.Context, p Params, obs Observer) (Result, error) {
 	return g.RunCtx(ctx, obs)
 }
 
-// Run is a pausable, resumable handle on a behavioural GAP run: step
-// it one generation at a time, snapshot it to bytes at any generation
+// Run is a pausable, resumable behavioural GAP run: step it one
+// generation at a time, snapshot it to bytes at any generation
 // boundary, and resume the exact run — bit for bit — later or
-// elsewhere.
-type Run struct{ g *gap.GAP }
+// elsewhere. GenerationNumber, Result, and RunCtx report on and drive
+// it.
+type Run = gap.GAP
 
 // NewRun starts a fresh evolution run at the given parameters.
-func NewRun(p Params) (*Run, error) {
-	g, err := gap.New(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Run{g: g}, nil
-}
+func NewRun(p Params) (*Run, error) { return gap.New(p) }
 
 // Resume reconstructs a Run from a Snapshot. The resumed run continues
 // the original random trajectory exactly, so interrupted and
 // uninterrupted runs finish with identical results.
-func Resume(snapshot []byte) (*Run, error) {
-	g, err := gap.Restore(snapshot, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Run{g: g}, nil
-}
-
-// Step advances the run one generation.
-func (r *Run) Step() error { return r.g.Step() }
-
-// Event returns the telemetry of the most recent generation; valid at
-// any generation boundary, including immediately after Resume.
-func (r *Run) Event() Event { return r.g.Event() }
-
-// Kind returns the run's snapshot kind tag, KindGAP.
-func (r *Run) Kind() string { return KindGAP }
-
-// Done reports whether the run has converged or hit its generation cap.
-func (r *Run) Done() bool { return r.g.Done() }
-
-// Generation returns the number of generations completed.
-func (r *Run) Generation() int { return r.g.GenerationNumber() }
-
-// Result reports the outcome so far; valid at any generation boundary.
-func (r *Run) Result() Result { return r.g.Result() }
-
-// Snapshot serializes the complete run state (population, RNG,
-// counters, history) to a versioned binary blob for Resume.
-func (r *Run) Snapshot() []byte { return r.g.Snapshot() }
-
-// RunCtx drives the run to completion under ctx, reporting each
-// generation to obs (nil for none).
-func (r *Run) RunCtx(ctx context.Context, obs Observer) (Result, error) {
-	return r.g.RunCtx(ctx, obs)
-}
+func Resume(snapshot []byte) (*Run, error) { return gap.Restore(snapshot, nil) }
 
 // IslandParams configures an island-model (archipelago) evolution run:
 // N independent demes, each a full GAP with its own CA-RNG stream
@@ -175,65 +137,19 @@ func EvolveIslands(ctx context.Context, p IslandParams, obs Observer) (IslandRes
 	return a.RunCtx(ctx, obs)
 }
 
-// IslandRun is the pausable, resumable handle on an archipelago run,
-// the multi-deme analogue of Run: step it epoch by epoch, snapshot it
-// at any epoch boundary, and resume the exact run bit for bit.
-type IslandRun struct{ a *island.Archipelago }
+// IslandRun is the pausable, resumable archipelago run, the
+// multi-deme analogue of Run: one Step is one epoch, Snapshot is valid
+// at any epoch boundary, and a resumed run continues bit for bit.
+// SetWorkers re-chooses the deme fan-out bound — pure scheduling, so it
+// is the one parameter a resume does not inherit from the snapshot.
+type IslandRun = island.Archipelago
 
 // NewIslandRun starts a fresh archipelago at the given parameters.
-func NewIslandRun(p IslandParams) (*IslandRun, error) {
-	a, err := island.New(p)
-	if err != nil {
-		return nil, err
-	}
-	return &IslandRun{a: a}, nil
-}
+func NewIslandRun(p IslandParams) (*IslandRun, error) { return island.New(p) }
 
 // ResumeIslands reconstructs an IslandRun from a Snapshot. The resumed
 // archipelago continues the original trajectory exactly.
-func ResumeIslands(snapshot []byte) (*IslandRun, error) {
-	a, err := island.Restore(snapshot, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &IslandRun{a: a}, nil
-}
-
-// Step advances every deme by one epoch (MigrateEvery generations) and
-// runs the barrier migration.
-func (r *IslandRun) Step() error { return r.a.Step() }
-
-// Event returns the aggregate telemetry of the most recent epoch.
-func (r *IslandRun) Event() Event { return r.a.Event() }
-
-// Kind returns the run's snapshot kind tag, KindIsland.
-func (r *IslandRun) Kind() string { return KindIsland }
-
-// SetWorkers re-chooses the worker bound for the deme fan-out (0 =
-// GOMAXPROCS). Workers is pure scheduling — it never changes the
-// trajectory — so it is safe to set on a resumed archipelago, and it is
-// the one parameter a resume does not inherit from the snapshot.
-func (r *IslandRun) SetWorkers(n int) { r.a.SetWorkers(n) }
-
-// Done reports whether any deme has converged or exhausted its budget.
-func (r *IslandRun) Done() bool { return r.a.Done() }
-
-// Epoch returns the number of completed epochs (migration barriers).
-func (r *IslandRun) Epoch() int { return r.a.Epochs() }
-
-// Result reports the archipelago outcome so far; valid at any epoch
-// boundary.
-func (r *IslandRun) Result() IslandResult { return r.a.Result() }
-
-// Snapshot serializes the complete archipelago (every deme plus the
-// migration cursor) to a versioned binary blob for ResumeIslands.
-func (r *IslandRun) Snapshot() []byte { return r.a.Snapshot() }
-
-// RunCtx drives the archipelago to completion under ctx, reporting each
-// epoch to obs (nil for none).
-func (r *IslandRun) RunCtx(ctx context.Context, obs Observer) (IslandResult, error) {
-	return r.a.RunCtx(ctx, obs)
-}
+func ResumeIslands(snapshot []byte) (*IslandRun, error) { return island.Restore(snapshot, nil) }
 
 // Fitness scores a genome with the paper's three physical rules
 // (equilibrium, symmetry, coherence). The maximum is MaxFitness.
@@ -365,36 +281,38 @@ func Synthesize(registerFile bool) (fpga.Report, error) {
 	return fpga.Map(sys.Core.Circuit, fpga.XC4036EX), nil
 }
 
-// Run kinds — the snapshot kind tags of the three resumable run
-// shapes. They double as the wire values of RunSpec.Kind and as the
-// strings SnapshotKind reports for a checkpoint file.
+// Run kinds — the snapshot kind tags of the six resumable run shapes,
+// each taken from the package that writes that snapshot header. They
+// double as the wire values of RunSpec.Kind and as the strings
+// SnapshotKind reports for a checkpoint file.
 const (
 	// KindGAP is a single behavioural GAP population (Run).
-	KindGAP = "gap"
+	KindGAP = gap.SnapKind
 	// KindIsland is an island-model archipelago (IslandRun).
-	KindIsland = "island"
+	KindIsland = island.SnapKind
 	// KindCircuit is the lane-packed gate-level driver (CircuitRun).
-	KindCircuit = "gapcirc"
+	KindCircuit = gapcirc.DriverSnapKind
 	// KindLanePack is the lane-packed archipelago: one gate-level deme
 	// per SWAR lane of a single shared simulator (LanePackRun).
-	KindLanePack = "lanepack"
+	KindLanePack = island.LanePackSnapKind
 	// KindCluster is one node's shard of a distributed archipelago
 	// (ClusterRun): a contiguous block of the global deme space plus the
 	// fleet placement, exchanged over a MigrationTransport.
-	KindCluster = "cluster"
+	KindCluster = island.ClusterSnapKind
 	// KindRepertoire is a MAP-Elites quality-diversity archive over
 	// (heading, stride) descriptor cells (RepertoireRun).
-	KindRepertoire = "repertoire"
+	KindRepertoire = repertoire.SnapKind
 )
 
-// Runner is the kind-agnostic handle on a resumable evolution run: Run,
-// IslandRun, CircuitRun, LanePackRun, and RepertoireRun all satisfy it,
-// and it satisfies engine.Stepper, so one engine loop drives any kind.
-// Step granularity differs by kind — a generation (gap), an epoch
-// (island), a bounded slice of clock cycles (circuit), or a candidate
-// batch (repertoire) — but the contract is shared: Step
-// only between Done checks, Snapshot only between Steps, and a resumed
-// run continues the original trajectory bit for bit.
+// Runner is the kind-agnostic view of a resumable evolution run: Run,
+// IslandRun, CircuitRun, LanePackRun, RepertoireRun, and ClusterRun
+// all satisfy it, and it satisfies engine.Stepper, so one engine loop
+// drives any kind. Step granularity differs by kind — a generation
+// (gap), an epoch (island, lanepack, cluster), a bounded slice of clock
+// cycles (circuit), or a candidate batch (repertoire) — but the
+// contract is shared: Step only between Done checks, Snapshot only
+// between Steps, and a resumed run continues the original trajectory
+// bit for bit. SnapshotKind(r.Snapshot()) names the kind.
 type Runner interface {
 	// Step advances one engine step.
 	Step() error
@@ -403,19 +321,17 @@ type Runner interface {
 	Done() bool
 	// Event returns the most recent step's telemetry.
 	Event() Event
-	// Snapshot serializes the complete run state for ResumeAny.
+	// Snapshot serializes the complete run state for ResumeAny
+	// (ResumeCluster for a cluster shard).
 	Snapshot() []byte
-	// Kind returns the run's snapshot kind tag (KindGAP, KindIsland,
-	// KindCircuit, KindLanePack, or KindRepertoire).
-	Kind() string
 }
 
-// CircuitRun is the pausable, resumable handle on a gate-level run: up
-// to 64 seeds evolve in the bit-parallel lanes of one compiled GAP
-// circuit, and the complete simulator state checkpoints and resumes
-// cycle-identically. It is the third Runner kind, beside Run and
-// IslandRun.
-type CircuitRun struct{ d *gapcirc.Driver }
+// CircuitRun is the pausable, resumable gate-level run: up to 64 seeds
+// evolve in the bit-parallel lanes of one compiled GAP circuit, one Step
+// is a bounded slice of clock cycles, and the complete simulator state
+// checkpoints and resumes cycle-identically. Results reports the
+// per-lane outcomes once Done.
+type CircuitRun = gapcirc.Driver
 
 // LaneResult is one lane's outcome in a CircuitRun.
 type LaneResult = gapcirc.LaneResult
@@ -426,11 +342,7 @@ type LaneResult = gapcirc.LaneResult
 // maxCycles caps the shared clock as a livelock guard (0 means a
 // generous default).
 func NewCircuitRun(p Params, seeds []uint64, generations, maxCycles int) (*CircuitRun, error) {
-	d, err := gapcirc.NewDriver(p, gapcirc.BuildOpts{}, seeds, generations, maxCycles)
-	if err != nil {
-		return nil, err
-	}
-	return &CircuitRun{d: d}, nil
+	return gapcirc.NewDriver(p, gapcirc.BuildOpts{}, seeds, generations, maxCycles)
 }
 
 // ResumeCircuit reconstructs a CircuitRun from a Snapshot: the circuit
@@ -438,72 +350,29 @@ func NewCircuitRun(p Params, seeds []uint64, generations, maxCycles int) (*Circu
 // deterministic) and the simulator's sequential state is restored, so
 // the continued run is cycle-identical to one that was never
 // interrupted.
-func ResumeCircuit(snapshot []byte) (*CircuitRun, error) {
-	d, err := gapcirc.RestoreDriver(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return &CircuitRun{d: d}, nil
-}
-
-// Step advances the chip a bounded slice of clock cycles.
-func (r *CircuitRun) Step() error { return r.d.Step() }
-
-// Done reports whether every lane has latched its result.
-func (r *CircuitRun) Done() bool { return r.d.Done() }
-
-// Event returns the chip telemetry: the slowest lane's generation, the
-// best fitness across lanes, the shared clock, and lanes finished.
-func (r *CircuitRun) Event() Event { return r.d.Event() }
-
-// Snapshot serializes the driver and the complete simulator state.
-func (r *CircuitRun) Snapshot() []byte { return r.d.Snapshot() }
-
-// Kind returns the run's snapshot kind tag, KindCircuit.
-func (r *CircuitRun) Kind() string { return KindCircuit }
-
-// Results returns the per-lane outcomes (final once Done reports true).
-func (r *CircuitRun) Results() []LaneResult { return r.d.Results() }
-
-// Best returns the best individual across all lanes and its fitness.
-func (r *CircuitRun) Best() (Genome, int) {
-	b, f := r.d.Best()
-	return b.Packed(), f
-}
+func ResumeCircuit(snapshot []byte) (*CircuitRun, error) { return gapcirc.RestoreDriver(snapshot) }
 
 // DefaultLanePackDemes is the deme count a lane-packed run takes when
 // the spec leaves Islands zero: all 64 simulator lanes occupied, the
 // configuration the lane packing exists for.
 const DefaultLanePackDemes = island.MaxLaneDemes
 
-// LanePackRun is the pausable, resumable handle on a lane-packed
-// archipelago: up to 64 gate-level demes, one per SWAR lane of a
-// single shared simulator, under the same ring-migration semantics as
-// IslandRun. One Step is one epoch for all demes at once — the gate
-// evaluation is one circuit pass per clock cycle regardless of the
-// deme count, which is the whole point.
-type LanePackRun struct{ lp *island.LanePack }
+// LanePackRun is the pausable, resumable lane-packed archipelago: up to
+// 64 gate-level demes, one per SWAR lane of a single shared simulator,
+// under the same ring-migration semantics as IslandRun. One Step is one
+// epoch for all demes at once — the gate evaluation is one circuit pass
+// per clock cycle regardless of the deme count, which is the whole
+// point.
+type LanePackRun = island.LanePack
 
 // NewLanePackRun starts a fresh lane-packed archipelago. p.Demes must
 // not exceed 64 and p.Base.Objective must be nil (the fitness function
 // is baked into the circuit).
-func NewLanePackRun(p IslandParams) (*LanePackRun, error) {
-	lp, err := island.NewLanePack(p)
-	if err != nil {
-		return nil, err
-	}
-	return &LanePackRun{lp: lp}, nil
-}
+func NewLanePackRun(p IslandParams) (*LanePackRun, error) { return island.NewLanePack(p) }
 
 // ResumeLanePack reconstructs a LanePackRun from a Snapshot. The
 // resumed archipelago continues the original trajectory exactly.
-func ResumeLanePack(snapshot []byte) (*LanePackRun, error) {
-	lp, err := island.RestoreLanePack(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return &LanePackRun{lp: lp}, nil
-}
+func ResumeLanePack(snapshot []byte) (*LanePackRun, error) { return island.RestoreLanePack(snapshot) }
 
 // EvolveLanePack runs a lane-packed archipelago to completion under
 // ctx; obs — if non-nil — receives one aggregate Event per epoch.
@@ -513,40 +382,6 @@ func EvolveLanePack(ctx context.Context, p IslandParams, obs Observer) (IslandRe
 		return IslandResult{}, err
 	}
 	return lp.RunCtx(ctx, obs)
-}
-
-// Step advances every lane deme by one epoch (MigrateEvery
-// generations) and runs the barrier migration.
-func (r *LanePackRun) Step() error { return r.lp.Step() }
-
-// Event returns the aggregate telemetry of the most recent epoch.
-func (r *LanePackRun) Event() Event { return r.lp.Event() }
-
-// Kind returns the run's snapshot kind tag, KindLanePack.
-func (r *LanePackRun) Kind() string { return KindLanePack }
-
-// SetWorkers re-chooses the worker bound for the per-deme bookkeeping
-// fan-out (0 = GOMAXPROCS); never affects the trajectory.
-func (r *LanePackRun) SetWorkers(n int) { r.lp.SetWorkers(n) }
-
-// Done reports whether the generation budget is exhausted.
-func (r *LanePackRun) Done() bool { return r.lp.Done() }
-
-// Epoch returns the number of completed epochs (migration barriers).
-func (r *LanePackRun) Epoch() int { return r.lp.Archipelago().Epochs() }
-
-// Result reports the archipelago outcome so far; valid at any epoch
-// boundary.
-func (r *LanePackRun) Result() IslandResult { return r.lp.Result() }
-
-// Snapshot serializes the archipelago header plus the single shared
-// simulator state for ResumeLanePack.
-func (r *LanePackRun) Snapshot() []byte { return r.lp.Snapshot() }
-
-// RunCtx drives the archipelago to completion under ctx, reporting
-// each epoch to obs (nil for none).
-func (r *LanePackRun) RunCtx(ctx context.Context, obs Observer) (IslandResult, error) {
-	return r.lp.RunCtx(ctx, obs)
 }
 
 // RepertoireParams configures a quality-diversity repertoire run: a
@@ -583,77 +418,18 @@ func EvolveRepertoire(ctx context.Context, p RepertoireParams, obs Observer) (Re
 	return r.RunCtx(ctx, obs)
 }
 
-// RepertoireRun is the pausable, resumable handle on a repertoire run:
-// step it one batch at a time, snapshot it at any batch boundary, and
-// resume the exact run bit for bit. Once filled, the archive answers
-// O(1) behaviour queries through Lookup.
-type RepertoireRun struct{ r *repertoire.Repertoire }
+// RepertoireRun is the pausable, resumable repertoire run: one Step
+// plans, evaluates, and commits a candidate batch, Snapshot is valid at
+// any batch boundary, and a resumed run continues bit for bit. Once
+// filled, the archive answers O(1) behaviour queries through Lookup.
+type RepertoireRun = repertoire.Repertoire
 
 // NewRepertoireRun starts a fresh repertoire at the given parameters.
-func NewRepertoireRun(p RepertoireParams) (*RepertoireRun, error) {
-	r, err := repertoire.New(p)
-	if err != nil {
-		return nil, err
-	}
-	return &RepertoireRun{r: r}, nil
-}
+func NewRepertoireRun(p RepertoireParams) (*RepertoireRun, error) { return repertoire.New(p) }
 
 // ResumeRepertoire reconstructs a RepertoireRun from a Snapshot. The
 // resumed run continues the original trajectory exactly.
-func ResumeRepertoire(snapshot []byte) (*RepertoireRun, error) {
-	r, err := repertoire.Restore(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return &RepertoireRun{r: r}, nil
-}
-
-// Step plans, evaluates, and commits one batch of candidates.
-func (r *RepertoireRun) Step() error { return r.r.Step() }
-
-// Event returns the aggregate telemetry of the most recent batch.
-func (r *RepertoireRun) Event() Event { return r.r.Event() }
-
-// Kind returns the run's snapshot kind tag, KindRepertoire.
-func (r *RepertoireRun) Kind() string { return KindRepertoire }
-
-// SetWorkers re-chooses the worker bound for the batch evaluation
-// fan-out (0 = GOMAXPROCS); pure scheduling, never affects the archive.
-func (r *RepertoireRun) SetWorkers(n int) { r.r.SetWorkers(n) }
-
-// Done reports whether the evaluation budget is exhausted.
-func (r *RepertoireRun) Done() bool { return r.r.Done() }
-
-// Batches returns the number of completed batches.
-func (r *RepertoireRun) Batches() int { return r.r.Batches() }
-
-// Coverage returns the occupied and total cell counts.
-func (r *RepertoireRun) Coverage() (filled, total int) { return r.r.Coverage() }
-
-// Lookup returns the elite whose cell contains the queried behaviour —
-// final heading in radians and per-cycle stride displacement in mm —
-// in O(1). ok is false when the descriptors fall outside the grid or
-// the cell is still empty.
-func (r *RepertoireRun) Lookup(headingRad, strideMM float64) (RepertoireElite, bool) {
-	return r.r.Lookup(headingRad, strideMM)
-}
-
-// Elites returns every occupied cell's elite in canonical cell order.
-func (r *RepertoireRun) Elites() []RepertoireElite { return r.r.Elites() }
-
-// Result reports the repertoire outcome so far; valid at any batch
-// boundary.
-func (r *RepertoireRun) Result() RepertoireResult { return r.r.Result() }
-
-// Snapshot serializes the complete run state (parameters, RNG, work
-// counters, every elite) for ResumeRepertoire.
-func (r *RepertoireRun) Snapshot() []byte { return r.r.Snapshot() }
-
-// RunCtx drives the repertoire to its evaluation budget under ctx,
-// reporting each batch to obs (nil for none).
-func (r *RepertoireRun) RunCtx(ctx context.Context, obs Observer) (RepertoireResult, error) {
-	return r.r.RunCtx(ctx, obs)
-}
+func ResumeRepertoire(snapshot []byte) (*RepertoireRun, error) { return repertoire.Restore(snapshot) }
 
 // RunSpec is the serialized, kind-tagged description of any run the
 // facade can construct — the wire format of leonardod's POST /v1/runs
@@ -662,7 +438,7 @@ func (r *RepertoireRun) RunCtx(ctx context.Context, obs Observer) (RepertoireRes
 // for the GA knobs), so {"kind":"gap","seed":1} is a complete spec.
 type RunSpec struct {
 	// Kind selects the run shape: KindGAP, KindIsland, KindCircuit,
-	// KindLanePack, or KindCluster.
+	// KindLanePack, KindRepertoire, or KindCluster.
 	Kind string `json:"kind"`
 	// Name identifies a KindCluster run fleet-wide: the same spec —
 	// same name included — must be submitted to every node, and the
@@ -775,74 +551,128 @@ func (s RunSpec) IslandParams() IslandParams {
 
 // NewRunner validates the spec and constructs a fresh run of its kind.
 // Parameter errors come back from the underlying constructors with the
-// field that failed.
+// field that failed; a KindCluster spec returns ErrClusterSpec.
 func (s RunSpec) NewRunner() (Runner, error) {
-	switch s.Kind {
-	case KindGAP:
-		return NewRun(s.base())
-	case KindIsland:
-		return NewIslandRun(s.IslandParams())
-	case KindLanePack:
-		p := s.IslandParams()
-		if p.Demes == 0 {
-			p.Demes = DefaultLanePackDemes
-		}
-		return NewLanePackRun(p)
-	case KindCluster:
-		return nil, fmt.Errorf("leonardo: %q runs shard one archipelago across a leonardod fleet; submit the spec to every cluster-configured node (or use NewClusterRun with an explicit shard and transport)", KindCluster)
-	case KindCircuit:
-		if s.Generations <= 0 {
-			return nil, fmt.Errorf("leonardo: circuit run needs generations > 0, got %d", s.Generations)
-		}
-		seeds := s.Seeds
-		if len(seeds) == 0 {
-			seeds = []uint64{s.Seed}
-		}
-		return NewCircuitRun(s.base(), seeds, s.Generations, s.MaxCycles)
-	case KindRepertoire:
-		p, err := s.RepertoireParams()
-		if err != nil {
-			return nil, err
-		}
-		return NewRepertoireRun(p)
-	case "":
-		return nil, fmt.Errorf("leonardo: run spec has no kind (want %q, %q, %q, %q, or %q)", KindGAP, KindIsland, KindCircuit, KindLanePack, KindRepertoire)
-	default:
-		return nil, fmt.Errorf("leonardo: unknown run kind %q (want %q, %q, %q, %q, or %q)", s.Kind, KindGAP, KindIsland, KindCircuit, KindLanePack, KindRepertoire)
+	k, ok := lookupKind(s.Kind)
+	if !ok {
+		return nil, fmt.Errorf("leonardo: unknown run kind %q (want %s)", s.Kind, kindList())
 	}
+	return k.fresh(s)
 }
 
 // SnapshotKind reports the kind tag of a snapshot without decoding its
-// payload — the dispatch hook behind ResumeAny, cmd/evolve -resume, and
-// the serve manager's spool reload. Short or foreign input returns a
-// typed error (engine.ErrTruncated / engine.ErrBadMagic), never a
-// panic.
+// payload — the dispatch hook behind ResumeAny. Short or foreign input
+// returns a typed error (engine.ErrTruncated / engine.ErrBadMagic),
+// never a panic.
 func SnapshotKind(snapshot []byte) (string, error) {
 	return engine.SnapshotKind(snapshot)
 }
 
 // ResumeAny reconstructs a Runner of whatever kind the snapshot header
 // names. The resumed run continues the original trajectory exactly,
-// whichever kind it is.
+// whichever kind it is; a KindCluster snapshot returns
+// ErrClusterSnapshot.
 func ResumeAny(snapshot []byte) (Runner, error) {
 	kind, err := engine.SnapshotKind(snapshot)
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case KindGAP:
-		return Resume(snapshot)
-	case KindIsland:
-		return ResumeIslands(snapshot)
-	case KindCircuit:
-		return ResumeCircuit(snapshot)
-	case KindLanePack:
-		return ResumeLanePack(snapshot)
-	case KindRepertoire:
-		return ResumeRepertoire(snapshot)
-	case KindCluster:
-		return nil, fmt.Errorf("leonardo: %q snapshots are one node's shard of a distributed run; resume with ResumeCluster and a migration transport, or merge the fleet's shards with MergeClusterSnapshots first", kind)
-	default:
-		return nil, fmt.Errorf("leonardo: unsupported snapshot kind %q", kind)
+	k, ok := lookupKind(kind)
+	if !ok {
+		return nil, fmt.Errorf("leonardo: unsupported snapshot kind %q (want %s)", kind, kindList())
 	}
+	return k.resume(snapshot)
+}
+
+// ErrClusterSpec and ErrClusterSnapshot are the KindCluster answers of
+// NewRunner and ResumeAny: a cluster run needs a fleet placement and a
+// migration transport, which neither a spec nor a snapshot carries.
+var (
+	ErrClusterSpec     = fmt.Errorf("leonardo: %q runs shard one archipelago across a leonardod fleet; submit the spec to every cluster-configured node (or use NewClusterRun with an explicit shard and transport)", KindCluster)
+	ErrClusterSnapshot = fmt.Errorf("leonardo: %q snapshots are one node's shard of a distributed run; resume with ResumeCluster and a migration transport, or merge the fleet's shards with MergeClusterSnapshots first", KindCluster)
+)
+
+// runKind is one entry of the run-kind table: a kind tag, how to build
+// a run of that kind fresh from a spec, and how to resume one from its
+// snapshot.
+type runKind struct {
+	kind   string
+	fresh  func(RunSpec) (Runner, error)
+	resume func([]byte) (Runner, error)
+}
+
+// runKinds is the run-kind table: the one place a kind is registered
+// for NewRunner and ResumeAny, in the order error messages list them.
+var runKinds = []runKind{
+	{
+		kind:   KindGAP,
+		fresh:  func(s RunSpec) (Runner, error) { return NewRun(s.base()) },
+		resume: func(b []byte) (Runner, error) { return Resume(b) },
+	},
+	{
+		kind:   KindIsland,
+		fresh:  func(s RunSpec) (Runner, error) { return NewIslandRun(s.IslandParams()) },
+		resume: func(b []byte) (Runner, error) { return ResumeIslands(b) },
+	},
+	{
+		kind: KindCircuit,
+		fresh: func(s RunSpec) (Runner, error) {
+			if s.Generations <= 0 {
+				return nil, fmt.Errorf("leonardo: circuit run needs generations > 0, got %d", s.Generations)
+			}
+			seeds := s.Seeds
+			if len(seeds) == 0 {
+				seeds = []uint64{s.Seed}
+			}
+			return NewCircuitRun(s.base(), seeds, s.Generations, s.MaxCycles)
+		},
+		resume: func(b []byte) (Runner, error) { return ResumeCircuit(b) },
+	},
+	{
+		kind: KindLanePack,
+		fresh: func(s RunSpec) (Runner, error) {
+			p := s.IslandParams()
+			if p.Demes == 0 {
+				p.Demes = DefaultLanePackDemes
+			}
+			return NewLanePackRun(p)
+		},
+		resume: func(b []byte) (Runner, error) { return ResumeLanePack(b) },
+	},
+	{
+		kind: KindRepertoire,
+		fresh: func(s RunSpec) (Runner, error) {
+			p, err := s.RepertoireParams()
+			if err != nil {
+				return nil, err
+			}
+			return NewRepertoireRun(p)
+		},
+		resume: func(b []byte) (Runner, error) { return ResumeRepertoire(b) },
+	},
+	{
+		kind:   KindCluster,
+		fresh:  func(RunSpec) (Runner, error) { return nil, ErrClusterSpec },
+		resume: func([]byte) (Runner, error) { return nil, ErrClusterSnapshot },
+	},
+}
+
+// lookupKind finds a kind's table entry.
+func lookupKind(kind string) (runKind, bool) {
+	for _, k := range runKinds {
+		if k.kind == kind {
+			return k, true
+		}
+	}
+	return runKind{}, false
+}
+
+// kindList renders the registered kind tags for error messages:
+// "a", "b", or "c".
+func kindList() string {
+	kinds := make([]string, len(runKinds))
+	for i, k := range runKinds {
+		kinds[i] = strconv.Quote(k.kind)
+	}
+	return strings.Join(kinds[:len(kinds)-1], ", ") + ", or " + kinds[len(kinds)-1]
 }
