@@ -248,7 +248,7 @@ func adapt(r leonardo.Runner, curve bool) (*kind, error) {
 	case *leonardo.IslandRun:
 		return archipelagoKind(r, r), nil
 	case *leonardo.LanePackRun:
-		return archipelagoKind(r, r.Archipelago()), nil
+		return archipelagoKind(r, r.Archipelago), nil
 	case *leonardo.RepertoireRun:
 		return repertoireKind(r), nil
 	default:

@@ -63,6 +63,11 @@ import (
 	"leonardo/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so idle or trickling connections cannot pin server
+// goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -109,7 +114,9 @@ func run() int {
 	// scripts (and the CI smoke test) discover the port.
 	logger.Printf("listening on http://%s (spool %q)", ln.Addr(), *spool)
 
-	srv := &http.Server{Handler: serve.NewAPI(m)}
+	// Only the header read is bounded: run event streams (SSE) stay
+	// open for a run's whole life, so there is no read or write timeout.
+	srv := &http.Server{Handler: serve.NewAPI(m), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

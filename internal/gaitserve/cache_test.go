@@ -253,3 +253,38 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		t.Fatalf("cache holds %d entries, cap 2", c.Len())
 	}
 }
+
+// TestEvictionAfterInFlightLoads pins the cap once in-flight loads
+// publish: eviction skips entries still loading, so with both cached
+// keys in flight a third insert overshoots the cap, and the cache must
+// trim itself when those loads finish.
+func TestEvictionAfterInFlightLoads(t *testing.T) {
+	snap := evolveSnap(t, 31)
+	c := gaitserve.NewCache(2)
+	release := make(chan struct{})
+	var started, done sync.WaitGroup
+	for _, id := range []string{"r0", "r1"} {
+		started.Add(1)
+		done.Add(1)
+		go func(id string) {
+			defer done.Done()
+			_, err := c.Get(id, "h", func() ([]byte, error) {
+				started.Done()
+				<-release
+				return snap, nil
+			})
+			if err != nil {
+				t.Errorf("Get %s: %v", id, err)
+			}
+		}(id)
+	}
+	started.Wait() // both loaders hold their entries in flight
+	if _, err := c.Get("r2", "h", func() ([]byte, error) { return snap, nil }); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	done.Wait()
+	if n := c.Len(); n > 2 {
+		t.Fatalf("cache holds %d entries after the loads published, cap 2", n)
+	}
+}

@@ -162,8 +162,11 @@ func (c *Cache) loadInto(e *entry, load func() ([]byte, error)) (*repertoire.Arc
 			c.removeLocked(e)
 		}
 	}
-	c.mu.Unlock()
 	close(e.ready)
+	// Inserts that overshot the cap while this entry was in flight
+	// skipped it; now that it is published, trim back to the cap.
+	c.evictLocked()
+	c.mu.Unlock()
 	return e.arch, e.err
 }
 
@@ -186,7 +189,7 @@ func (c *Cache) Invalidate(id string) {
 
 // evictLocked drops completed entries from the LRU tail until the
 // cache is within its cap. In-flight entries are skipped: their
-// loaders and waiters still hold them, and they become evictable the
+// loaders and waiters still hold them, and loadInto evicts again the
 // moment they publish.
 func (c *Cache) evictLocked() {
 	for e := c.tail; e != nil && len(c.entries) > c.cap; {

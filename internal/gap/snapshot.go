@@ -24,20 +24,41 @@ const SnapKind = "gap"
 
 const snapVersion = 1
 
+// EncodeParams writes the eight GA parameters every snapshot kind that
+// rebuilds a GAP records, in their one canonical order. Callers append
+// their own extras (RecordHistory, build options) after it.
+func EncodeParams(e *engine.Enc, p Params) {
+	e.Int(p.Layout.Steps)
+	e.Int(p.Layout.Legs)
+	e.Int(p.PopulationSize)
+	e.F64(p.SelectionThreshold)
+	e.F64(p.CrossoverThreshold)
+	e.Int(p.MutationsPerGeneration)
+	e.Int(p.MaxGenerations)
+	e.U64(p.Seed)
+}
+
+// DecodeParams reads the parameters written by EncodeParams. Check
+// d.Err before trusting the result.
+func DecodeParams(d *engine.Dec) Params {
+	return Params{
+		Layout:                 genome.Layout{Steps: d.Int(), Legs: d.Int()},
+		PopulationSize:         d.Int(),
+		SelectionThreshold:     d.F64(),
+		CrossoverThreshold:     d.F64(),
+		MutationsPerGeneration: d.Int(),
+		MaxGenerations:         d.Int(),
+		Seed:                   d.U64(),
+	}
+}
+
 // Snapshot serializes the complete GAP state. Call it only at a
 // generation boundary (between Step calls); the engine loop guarantees
 // this for observer-triggered snapshots.
 func (g *GAP) Snapshot() []byte {
 	e := engine.NewEnc(SnapKind, snapVersion)
 	// Parameters needed to rebuild an identical machine.
-	e.Int(g.p.Layout.Steps)
-	e.Int(g.p.Layout.Legs)
-	e.Int(g.p.PopulationSize)
-	e.F64(g.p.SelectionThreshold)
-	e.F64(g.p.CrossoverThreshold)
-	e.Int(g.p.MutationsPerGeneration)
-	e.Int(g.p.MaxGenerations)
-	e.U64(g.p.Seed)
+	EncodeParams(e, g.p)
 	e.Bool(g.p.RecordHistory)
 	// Dynamic state.
 	e.U64(g.rng.State())
@@ -82,16 +103,8 @@ func Restore(data []byte, obj Objective) (*GAP, error) {
 	if d.Version != snapVersion {
 		return nil, fmt.Errorf("gap: snapshot version %d, want %d", d.Version, snapVersion)
 	}
-	p := Params{
-		Layout:                 genome.Layout{Steps: d.Int(), Legs: d.Int()},
-		PopulationSize:         d.Int(),
-		SelectionThreshold:     d.F64(),
-		CrossoverThreshold:     d.F64(),
-		MutationsPerGeneration: d.Int(),
-		MaxGenerations:         d.Int(),
-		Seed:                   d.U64(),
-		RecordHistory:          d.Bool(),
-	}
+	p := DecodeParams(d)
+	p.RecordHistory = d.Bool()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}

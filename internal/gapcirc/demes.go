@@ -73,12 +73,6 @@ type LaneDemes struct {
 // island twice). p.MaxGenerations is the per-deme budget every view's
 // Done reports against.
 func NewLaneDemes(p gap.Params, opts BuildOpts, seeds []uint64) (*LaneDemes, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("gapcirc: no seeds")
-	}
-	if len(seeds) > logic.Lanes {
-		return nil, fmt.Errorf("gapcirc: %d seeds exceed the %d simulator lanes", len(seeds), logic.Lanes)
-	}
 	if opts.RegisterFile {
 		return nil, fmt.Errorf("gapcirc: lane demes need RAM population storage, not a register file")
 	}
@@ -93,7 +87,7 @@ func NewLaneDemes(p gap.Params, opts BuildOpts, seeds []uint64) (*LaneDemes, err
 	if err != nil {
 		return nil, err
 	}
-	if err := distinctSeeds(co, seeds); err != nil {
+	if err := checkSeeds(co, seeds); err != nil {
 		return nil, err
 	}
 	s, err := co.Circuit.Compile()
@@ -356,10 +350,8 @@ func (d *LaneDeme) Immigrate(x genome.Extended) error {
 
 // Snapshot implements island.Deme by serializing the whole group —
 // lanes share one simulator, so there is no smaller self-contained
-// unit. For a single-lane group (the scalar comparator configuration)
-// the blob restores through island.Restore like any other deme kind;
-// multi-lane groups snapshot once through island.LanePack instead of
-// once per view.
+// unit. The island layer never restores it per deme: a lane-packed
+// archipelago snapshots the group once, through island.LanePack.
 func (d *LaneDeme) Snapshot() []byte { return d.g.Snapshot() }
 
 const (
@@ -377,15 +369,7 @@ func (g *LaneDemes) Snapshot() []byte {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	e := engine.NewEnc(laneDemesSnapKind, laneDemesSnapVersion)
-	p := g.core.Params
-	e.Int(p.Layout.Steps)
-	e.Int(p.Layout.Legs)
-	e.Int(p.PopulationSize)
-	e.F64(p.SelectionThreshold)
-	e.F64(p.CrossoverThreshold)
-	e.Int(p.MutationsPerGeneration)
-	e.Int(p.MaxGenerations)
-	e.U64(p.Seed)
+	gap.EncodeParams(e, g.core.Params)
 	e.Int(len(g.seeds))
 	for _, s := range g.seeds {
 		e.U64(s)
@@ -407,15 +391,7 @@ func RestoreLaneDemes(data []byte) (*LaneDemes, error) {
 	if dec.Version != laneDemesSnapVersion {
 		return nil, fmt.Errorf("gapcirc: lane-deme snapshot version %d, want %d", dec.Version, laneDemesSnapVersion)
 	}
-	p := gap.Params{
-		Layout:                 genome.Layout{Steps: dec.Int(), Legs: dec.Int()},
-		PopulationSize:         dec.Int(),
-		SelectionThreshold:     dec.F64(),
-		CrossoverThreshold:     dec.F64(),
-		MutationsPerGeneration: dec.Int(),
-		MaxGenerations:         dec.Int(),
-		Seed:                   dec.U64(),
-	}
+	p := gap.DecodeParams(dec)
 	nLanes := dec.Int()
 	if err := dec.Err(); err != nil {
 		return nil, err
@@ -441,18 +417,11 @@ func RestoreLaneDemes(data []byte) (*LaneDemes, error) {
 	if p.MaxGenerations <= 0 {
 		return nil, fmt.Errorf("gapcirc: lane-deme snapshot has unresolved generation budget %d", p.MaxGenerations)
 	}
-	co, err := BuildWith(p, BuildOpts{Freezable: true})
-	if err != nil {
-		return nil, fmt.Errorf("gapcirc: lane-deme snapshot parameters: %w", err)
-	}
-	if err := distinctSeeds(co, seeds); err != nil {
-		return nil, err
-	}
-	s, err := co.Circuit.Compile()
+	co, s, err := rebuild(p, BuildOpts{Freezable: true}, st)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.RestoreState(st); err != nil {
+	if err := checkSeeds(co, seeds); err != nil {
 		return nil, err
 	}
 	return newLaneDemes(co, s, seeds, gen), nil

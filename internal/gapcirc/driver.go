@@ -53,13 +53,7 @@ func NewDriver(p gap.Params, opts BuildOpts, seeds []uint64, generations, maxCyc
 
 // newDriver wraps an existing core and freshly compiled simulator.
 func newDriver(co *Core, s *logic.Sim, seeds []uint64, generations, maxCycles int) (*Driver, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("gapcirc: no seeds")
-	}
-	if len(seeds) > logic.Lanes {
-		return nil, fmt.Errorf("gapcirc: %d seeds exceed the %d simulator lanes", len(seeds), logic.Lanes)
-	}
-	if err := distinctSeeds(co, seeds); err != nil {
+	if err := checkSeeds(co, seeds); err != nil {
 		return nil, err
 	}
 	if s.Cycles() != 0 {
@@ -198,15 +192,7 @@ const driverSnapVersion = 1
 // which keys the simulator state — matches by construction.
 func (d *Driver) Snapshot() []byte {
 	e := engine.NewEnc(DriverSnapKind, driverSnapVersion)
-	p := d.core.Params
-	e.Int(p.Layout.Steps)
-	e.Int(p.Layout.Legs)
-	e.Int(p.PopulationSize)
-	e.F64(p.SelectionThreshold)
-	e.F64(p.CrossoverThreshold)
-	e.Int(p.MutationsPerGeneration)
-	e.Int(p.MaxGenerations)
-	e.U64(p.Seed)
+	gap.EncodeParams(e, d.core.Params)
 	e.Bool(d.core.Opts.RegisterFile)
 	e.Bool(d.core.Opts.FreeRunningRNG)
 	e.Int(d.generations)
@@ -235,15 +221,7 @@ func RestoreDriver(data []byte) (*Driver, error) {
 	if dec.Version != driverSnapVersion {
 		return nil, fmt.Errorf("gapcirc: snapshot version %d, want %d", dec.Version, driverSnapVersion)
 	}
-	p := gap.Params{
-		Layout:                 genome.Layout{Steps: dec.Int(), Legs: dec.Int()},
-		PopulationSize:         dec.Int(),
-		SelectionThreshold:     dec.F64(),
-		CrossoverThreshold:     dec.F64(),
-		MutationsPerGeneration: dec.Int(),
-		MaxGenerations:         dec.Int(),
-		Seed:                   dec.U64(),
-	}
+	p := gap.DecodeParams(dec)
 	opts := BuildOpts{RegisterFile: dec.Bool(), FreeRunningRNG: dec.Bool()}
 	generations := dec.Int()
 	maxCycles := dec.U64()
@@ -275,16 +253,8 @@ func RestoreDriver(data []byte) (*Driver, error) {
 	if err := dec.Finish(); err != nil {
 		return nil, err
 	}
-
-	co, err := BuildWith(p, opts)
+	co, s, err := rebuild(p, opts, st)
 	if err != nil {
-		return nil, fmt.Errorf("gapcirc: snapshot parameters: %w", err)
-	}
-	s, err := co.Circuit.Compile()
-	if err != nil {
-		return nil, err
-	}
-	if err := s.RestoreState(st); err != nil {
 		return nil, err
 	}
 	return &Driver{

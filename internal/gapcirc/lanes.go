@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"leonardo/internal/carng"
+	"leonardo/internal/gap"
 	"leonardo/internal/genome"
 	"leonardo/internal/logic"
 )
@@ -35,14 +36,20 @@ func (co *Core) SeedLane(s *logic.Sim, lane int, seed uint64) {
 	}
 }
 
-// distinctSeeds rejects seed lists that collapse onto one CA state:
-// two lanes with the same effective seed run the exact same
-// trajectory, which silently halves the statistical value of a batch
-// (or, for lane-packed demes, duplicates an island). The comparison
-// uses the transformed state, not the raw seed — the mask-to-cell-count
-// transform aliases raw seeds (0 and 1, or any pair differing only
-// above the cell count).
-func distinctSeeds(co *Core, seeds []uint64) error {
+// checkSeeds rejects seed lists a lane group cannot host: none, more
+// than logic.Lanes, or two that collapse onto one CA state. Two lanes
+// with the same effective seed run the exact same trajectory, which
+// silently halves the statistical value of a batch (or, for lane-packed
+// demes, duplicates an island). The comparison uses the transformed
+// state, not the raw seed — the mask-to-cell-count transform aliases
+// raw seeds (0 and 1, or any pair differing only above the cell count).
+func checkSeeds(co *Core, seeds []uint64) error {
+	if len(seeds) == 0 {
+		return fmt.Errorf("gapcirc: no seeds")
+	}
+	if len(seeds) > logic.Lanes {
+		return fmt.Errorf("gapcirc: %d seeds exceed the %d simulator lanes", len(seeds), logic.Lanes)
+	}
 	cells := len(co.CA.State)
 	for i := range seeds {
 		for j := 0; j < i; j++ {
@@ -53,6 +60,26 @@ func distinctSeeds(co *Core, seeds []uint64) error {
 		}
 	}
 	return nil
+}
+
+// rebuild is the restore path shared by RestoreDriver and
+// RestoreLaneDemes: it reconstructs the circuit from the snapshotted
+// parameters (construction is deterministic, so the node order that
+// keys the simulator state matches), compiles a fresh simulator, and
+// overwrites its sequential state.
+func rebuild(p gap.Params, opts BuildOpts, st logic.SimState) (*Core, *logic.Sim, error) {
+	co, err := BuildWith(p, opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("gapcirc: snapshot parameters: %w", err)
+	}
+	s, err := co.Circuit.Compile()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := s.RestoreState(st); err != nil {
+		return nil, nil, err
+	}
+	return co, s, nil
 }
 
 // BestOfLane returns one lane's best-ever genome and fitness.

@@ -168,8 +168,9 @@ func (f DemeObserverFunc) OnDemeGeneration(ev DemeEvent) { f(ev) }
 // Archipelago runs N demes under the engine contract: it is itself an
 // engine.Stepper whose Step advances every deme by one epoch
 // (MigrateEvery generations, concurrently via engine.Map) and then
-// migrates at the barrier. Create with New (gap demes) or NewWithDemes
-// (custom demes), restore with Restore.
+// migrates at the barrier. Create with New (gap demes), NewShard (one
+// node's slice of a fleet), or NewLanePack (gate-level lane demes);
+// restore with Restore, RestoreShard, or RestoreLanePack.
 type Archipelago struct {
 	p     Params
 	obj   gap.Objective
@@ -204,38 +205,27 @@ func New(p Params) (*Archipelago, error) {
 		return nil, err
 	}
 	p = p.withDefaults()
-	demes := make([]Deme, p.Demes)
-	for i := range demes {
-		bp := p.Base
-		bp.Seed = DemeSeed(p.Base.Seed, i)
-		g, err := gap.New(bp)
-		if err != nil {
-			return nil, fmt.Errorf("island: deme %d: %w", i, err)
-		}
-		demes[i] = g
+	demes, err := gapDemes(p, 0, p.Demes)
+	if err != nil {
+		return nil, err
 	}
 	return &Archipelago{p: p, obj: resolveObjective(p.Base), demes: demes}, nil
 }
 
-// NewWithDemes wraps caller-built demes (for example gapcirc.LaneDeme
-// views) in an archipelago. len(demes) must equal p.Demes; the caller
-// owns seed derivation for demes it builds itself.
-func NewWithDemes(p Params, demes []Deme) (*Archipelago, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	p = p.withDefaults()
-	if len(demes) != p.Demes {
-		return nil, fmt.Errorf("island: %d demes supplied for Demes=%d", len(demes), p.Demes)
-	}
-	for i, d := range demes {
-		if d == nil {
-			return nil, fmt.Errorf("island: deme %d is nil", i)
+// gapDemes builds the behavioural GAP demes of global indices
+// [lo, hi), deme i seeded with DemeSeed(p.Base.Seed, i).
+func gapDemes(p Params, lo, hi int) ([]Deme, error) {
+	demes := make([]Deme, hi-lo)
+	for i := range demes {
+		bp := p.Base
+		bp.Seed = DemeSeed(p.Base.Seed, lo+i)
+		g, err := gap.New(bp)
+		if err != nil {
+			return nil, fmt.Errorf("island: deme %d: %w", lo+i, err)
 		}
+		demes[i] = g
 	}
-	ds := make([]Deme, len(demes))
-	copy(ds, demes)
-	return &Archipelago{p: p, obj: resolveObjective(p.Base), demes: ds}, nil
+	return demes, nil
 }
 
 // NewShard builds this node's shard of a fleet-wide archipelago: the
@@ -253,15 +243,9 @@ func NewShard(p Params, sh Shard, tr Transport) (*Archipelago, error) {
 		return nil, err
 	}
 	lo, hi := sh.Range(p.Demes)
-	demes := make([]Deme, hi-lo)
-	for i := range demes {
-		bp := p.Base
-		bp.Seed = DemeSeed(p.Base.Seed, lo+i)
-		g, err := gap.New(bp)
-		if err != nil {
-			return nil, fmt.Errorf("island: deme %d: %w", lo+i, err)
-		}
-		demes[i] = g
+	demes, err := gapDemes(p, lo, hi)
+	if err != nil {
+		return nil, err
 	}
 	s := sh
 	return &Archipelago{p: p, obj: resolveObjective(p.Base), demes: demes,

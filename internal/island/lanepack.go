@@ -1,12 +1,11 @@
 package island
 
 import (
-	"context"
 	"fmt"
 
 	"leonardo/internal/engine"
+	"leonardo/internal/gap"
 	"leonardo/internal/gapcirc"
-	"leonardo/internal/genome"
 	"leonardo/internal/logic"
 )
 
@@ -29,11 +28,13 @@ import (
 const MaxLaneDemes = logic.Lanes
 
 // LanePack is an archipelago whose demes are the lanes of one shared
-// gate-level simulator. It implements engine.Stepper exactly like
-// Archipelago (one Step = one epoch) and adds a snapshot format that
-// stores the shared simulator once instead of once per deme.
+// gate-level simulator. It is the embedded Archipelago — stepping,
+// observers, Result, and RunCtx are that archipelago's — plus a
+// Snapshot that stores the shared simulator once instead of once per
+// deme. Never snapshot the embedded Archipelago directly: only
+// LanePack.Snapshot writes a restorable lane-packed run.
 type LanePack struct {
-	arch  *Archipelago
+	*Archipelago
 	group *gapcirc.LaneDemes
 }
 
@@ -66,78 +67,20 @@ func NewLanePack(p Params) (*LanePack, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLanePack(p, group, 0, 0)
+	return newLanePack(p, group, 0, 0), nil
 }
 
 // newLanePack wraps an existing lane-deme group in the archipelago
-// machinery with the given migration cursor.
-func newLanePack(p Params, group *gapcirc.LaneDemes, epochs, migrants int) (*LanePack, error) {
+// machinery with the given migration cursor. p is validated, has its
+// defaults resolved, and p.Demes equals the group's lane count.
+func newLanePack(p Params, group *gapcirc.LaneDemes, epochs, migrants int) *LanePack {
 	views := group.Demes()
 	demes := make([]Deme, len(views))
 	for i, v := range views {
 		demes[i] = v
 	}
-	arch, err := NewWithDemes(p, demes)
-	if err != nil {
-		return nil, err
-	}
-	arch.epochs = epochs
-	arch.migrants = migrants
-	return &LanePack{arch: arch, group: group}, nil
-}
-
-// Archipelago exposes the underlying archipelago (observers, Result,
-// per-deme inspection). Its demes are *gapcirc.LaneDeme views; do not
-// snapshot it directly — the per-deme sub-snapshot format would store
-// the shared simulator once per lane. Use LanePack.Snapshot.
-func (lp *LanePack) Archipelago() *Archipelago { return lp.arch }
-
-// Group exposes the shared lane-deme group (for inspection; mutating
-// it mid-run breaks replay).
-func (lp *LanePack) Group() *gapcirc.LaneDemes { return lp.group }
-
-// Params returns the archipelago configuration (defaults resolved).
-func (lp *LanePack) Params() Params { return lp.arch.Params() }
-
-// SetWorkers re-chooses the engine.Map worker bound, as on
-// Archipelago. For a lane pack the demes contend on one simulator, so
-// workers only bound the bookkeeping concurrency — the gate
-// evaluation itself is inherently one pass for all lanes.
-func (lp *LanePack) SetWorkers(n int) { lp.arch.SetWorkers(n) }
-
-// Epochs returns how many epochs (migration barriers) have completed.
-func (lp *LanePack) Epochs() int { return lp.arch.Epochs() }
-
-// Migrations returns how many immigrants have been accepted so far.
-func (lp *LanePack) Migrations() int { return lp.arch.Migrations() }
-
-// Demes returns the number of lane demes.
-func (lp *LanePack) Demes() int { return lp.arch.Demes() }
-
-// Step implements engine.Stepper: one epoch (MigrateEvery generations
-// of every lane, then the ring barrier), exactly as Archipelago.Step.
-func (lp *LanePack) Step() error { return lp.arch.Step() }
-
-// Done implements engine.Stepper.
-func (lp *LanePack) Done() bool { return lp.arch.Done() }
-
-// Event implements engine.Stepper.
-func (lp *LanePack) Event() engine.Event { return lp.arch.Event() }
-
-// Best returns the best individual across all lanes and its fitness.
-func (lp *LanePack) Best() (genome.Extended, int) {
-	r := lp.arch.Result()
-	return r.Best, r.BestFitness
-}
-
-// Result reports the archipelago outcome so far.
-func (lp *LanePack) Result() Result { return lp.arch.Result() }
-
-// RunCtx drives the lane pack to completion under ctx, one aggregate
-// Event per epoch to obs (nil for none).
-func (lp *LanePack) RunCtx(ctx context.Context, obs engine.Observer) (Result, error) {
-	err := engine.Run(ctx, lp, obs)
-	return lp.arch.Result(), err
+	a := &Archipelago{p: p, obj: resolveObjective(p.Base), demes: demes, epochs: epochs, migrants: migrants}
+	return &LanePack{Archipelago: a, group: group}
 }
 
 // LanePackSnapKind is the kind tag of a lane-packed archipelago
@@ -152,19 +95,12 @@ const lanePackSnapVersion = 1
 // group. Valid at epoch boundaries, which the engine loop guarantees
 // between Steps.
 func (lp *LanePack) Snapshot() []byte {
-	a := lp.arch
+	a := lp.Archipelago
 	e := engine.NewEnc(LanePackSnapKind, lanePackSnapVersion)
 	e.Int(a.p.Demes)
 	e.Int(a.p.MigrateEvery)
 	e.Blob([]byte(a.p.Topology))
-	e.Int(a.p.Base.Layout.Steps)
-	e.Int(a.p.Base.Layout.Legs)
-	e.Int(a.p.Base.PopulationSize)
-	e.F64(a.p.Base.SelectionThreshold)
-	e.F64(a.p.Base.CrossoverThreshold)
-	e.Int(a.p.Base.MutationsPerGeneration)
-	e.Int(a.p.Base.MaxGenerations)
-	e.U64(a.p.Base.Seed)
+	gap.EncodeParams(e, a.p.Base)
 	e.Int(a.epochs)
 	e.Int(a.migrants)
 	e.Blob(lp.group.Snapshot())
@@ -186,14 +122,8 @@ func RestoreLanePack(data []byte) (*LanePack, error) {
 		Demes:        d.Int(),
 		MigrateEvery: d.Int(),
 		Topology:     Topology(d.Blob()),
+		Base:         gap.DecodeParams(d),
 	}
-	p.Base.Layout = genome.Layout{Steps: d.Int(), Legs: d.Int()}
-	p.Base.PopulationSize = d.Int()
-	p.Base.SelectionThreshold = d.F64()
-	p.Base.CrossoverThreshold = d.F64()
-	p.Base.MutationsPerGeneration = d.Int()
-	p.Base.MaxGenerations = d.Int()
-	p.Base.Seed = d.U64()
 	epochs := d.Int()
 	migrants := d.Int()
 	sub := d.Blob()
@@ -203,18 +133,11 @@ func RestoreLanePack(data []byte) (*LanePack, error) {
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("island: lanepack snapshot parameters invalid: %w", err)
+	if err := validateHeader(p, epochs, migrants); err != nil {
+		return nil, err
 	}
 	if p.Demes > MaxLaneDemes {
 		return nil, fmt.Errorf("island: lanepack snapshot has %d demes, capacity is %d", p.Demes, MaxLaneDemes)
-	}
-	if p.MigrateEvery <= 0 || p.Base.MaxGenerations <= 0 {
-		return nil, fmt.Errorf("island: lanepack snapshot has unresolved defaults (interval %d, cap %d)",
-			p.MigrateEvery, p.Base.MaxGenerations)
-	}
-	if epochs < 0 || migrants < 0 {
-		return nil, fmt.Errorf("island: lanepack snapshot cursor (%d epochs, %d migrants) is negative", epochs, migrants)
 	}
 	group, err := gapcirc.RestoreLaneDemes(sub)
 	if err != nil {
@@ -223,5 +146,5 @@ func RestoreLanePack(data []byte) (*LanePack, error) {
 	if group.NumDemes() != p.Demes {
 		return nil, fmt.Errorf("island: lanepack snapshot header says %d demes, the group holds %d", p.Demes, group.NumDemes())
 	}
-	return newLanePack(p, group, epochs, migrants)
+	return newLanePack(p, group, epochs, migrants), nil
 }

@@ -42,11 +42,7 @@ func scalarLaneArchipelago(t *testing.T, p Params) (*Archipelago, []*gapcirc.Lan
 		groups[i] = g
 		demes[i] = g.Demes()[0]
 	}
-	a, err := NewWithDemes(p, demes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, groups
+	return &Archipelago{p: p, obj: resolveObjective(p.Base), demes: demes}, groups
 }
 
 // compareLanePackToScalar asserts bit-identity between a lane-packed
@@ -55,12 +51,12 @@ func scalarLaneArchipelago(t *testing.T, p Params) (*Archipelago, []*gapcirc.Lan
 func compareLanePackToScalar(t *testing.T, lp *LanePack, scalar []*gapcirc.LaneDemes) {
 	t.Helper()
 	for i := range scalar {
-		lb, lf := lp.Group().BestLane(i)
+		lb, lf := lp.group.BestLane(i)
 		sb, sf := scalar[i].BestLane(0)
 		if lb != sb || lf != sf {
 			t.Fatalf("deme %d: lane-packed best %v/%d, scalar %v/%d", i, lb, lf, sb, sf)
 		}
-		lpop := lp.Group().ReadBasisLane(i)
+		lpop := lp.group.ReadBasisLane(i)
 		spop := scalar[i].ReadBasisLane(0)
 		for j := range lpop {
 			if lpop[j] != spop[j] {
@@ -104,8 +100,8 @@ func TestLanePackMatchesScalarArchipelago(t *testing.T) {
 	if lr.Migrations == 0 {
 		t.Fatal("no migrations happened; the differential never exercised the ring barrier")
 	}
-	if lp.Archipelago().Epochs() != sa.Epochs() {
-		t.Fatalf("epochs diverge: lane-packed %d, scalar %d", lp.Archipelago().Epochs(), sa.Epochs())
+	if lp.Epochs() != sa.Epochs() {
+		t.Fatalf("epochs diverge: lane-packed %d, scalar %d", lp.Epochs(), sa.Epochs())
 	}
 }
 
@@ -126,7 +122,7 @@ func TestLanePackWorkerInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		snap := lp.Group().Snapshot()
+		snap := lp.group.Snapshot()
 		if first == nil {
 			first = snap
 		} else if !bytes.Equal(first, snap) {
@@ -160,9 +156,9 @@ func TestLanePackSnapshotResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Archipelago().Epochs() != 2 || r.Params().Demes != p.Demes {
+	if r.Epochs() != 2 || r.Params().Demes != p.Demes {
 		t.Fatalf("restored pack at epoch %d with %d demes, want 2 and %d",
-			r.Archipelago().Epochs(), r.Params().Demes, p.Demes)
+			r.Epochs(), r.Params().Demes, p.Demes)
 	}
 	if _, err := r.RunCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
@@ -177,42 +173,8 @@ func TestLanePackSnapshotResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareLanePackToScalar(t, r, groups)
-	if r.Archipelago().Migrations() != sa.Migrations() {
-		t.Fatalf("resumed pack accepted %d migrants, scalar %d", r.Archipelago().Migrations(), sa.Migrations())
-	}
-}
-
-// TestScalarLaneDemeArchipelagoSnapshot exercises the "lanedemes" case
-// in island.Restore: an archipelago of single-lane groups round-trips
-// through the generic island snapshot and continues bit-identically.
-func TestScalarLaneDemeArchipelagoSnapshot(t *testing.T) {
-	p := lanePackParams(3, 7)
-	sa, _ := scalarLaneArchipelago(t, p)
-	for e := 0; e < 2; e++ {
-		if err := sa.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blob := sa.Snapshot()
-	if _, err := sa.RunCtx(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Restore(blob, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RunCtx(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
-	want := sa.Result()
-	got := r.Result()
-	if got.BestFitness != want.BestFitness || got.Best.Packed() != want.Best.Packed() ||
-		got.Generations != want.Generations || got.Migrations != want.Migrations {
-		t.Fatalf("restored archipelago result %+v, uninterrupted %+v", got, want)
-	}
-	if !bytes.Equal(sa.Snapshot(), r.Snapshot()) {
-		t.Fatal("restored archipelago's final snapshot differs from the uninterrupted run's")
+	if r.Migrations() != sa.Migrations() {
+		t.Fatalf("resumed pack accepted %d migrants, scalar %d", r.Migrations(), sa.Migrations())
 	}
 }
 

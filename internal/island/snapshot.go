@@ -5,17 +5,15 @@ import (
 
 	"leonardo/internal/engine"
 	"leonardo/internal/gap"
-	"leonardo/internal/gapcirc"
-	"leonardo/internal/genome"
 )
 
 // Checkpointing for the archipelago. A snapshot is the archipelago
 // header — resolved parameters plus the migration cursor — followed by
-// one length-prefixed sub-snapshot per deme, each a complete snapshot
-// in its own kind ("gap" for behavioural demes, "lanedemes" for a
-// single-lane gate-level group). Restore dispatches on each
-// sub-snapshot's kind. Snapshots are only valid at epoch boundaries,
-// which the engine loop guarantees between Steps.
+// one length-prefixed "gap" sub-snapshot per deme. Gate-level demes
+// never appear here: a lane-packed archipelago stores its shared
+// simulator once, under the "lanepack" kind (lanepack.go). Snapshots
+// are only valid at epoch boundaries, which the engine loop guarantees
+// between Steps.
 
 // SnapKind is the kind tag of an archipelago snapshot header.
 const SnapKind = "island"
@@ -30,17 +28,9 @@ func encodeHeader(e *engine.Enc, p Params) {
 	e.Int(p.Demes)
 	e.Int(p.MigrateEvery)
 	e.Blob([]byte(p.Topology))
-	// Base parameters, mirrored from the gap snapshot layout (the
-	// objective and any warm-start population are not serialized, as
-	// there).
-	e.Int(p.Base.Layout.Steps)
-	e.Int(p.Base.Layout.Legs)
-	e.Int(p.Base.PopulationSize)
-	e.F64(p.Base.SelectionThreshold)
-	e.F64(p.Base.CrossoverThreshold)
-	e.Int(p.Base.MutationsPerGeneration)
-	e.Int(p.Base.MaxGenerations)
-	e.U64(p.Base.Seed)
+	// Base parameters, in the gap snapshot layout (the objective and
+	// any warm-start population are not serialized, as there).
+	gap.EncodeParams(e, p.Base)
 	e.Bool(p.Base.RecordHistory)
 }
 
@@ -48,22 +38,15 @@ func encodeHeader(e *engine.Enc, p Params) {
 // is attached as the per-deme objective (nil means the paper's
 // three-rule evaluator).
 func decodeHeader(d *engine.Dec, obj gap.Objective) Params {
-	return Params{
+	p := Params{
 		Demes:        d.Int(),
 		MigrateEvery: d.Int(),
 		Topology:     Topology(d.Blob()),
-		Base: gap.Params{
-			Layout:                 genome.Layout{Steps: d.Int(), Legs: d.Int()},
-			PopulationSize:         d.Int(),
-			SelectionThreshold:     d.F64(),
-			CrossoverThreshold:     d.F64(),
-			MutationsPerGeneration: d.Int(),
-			MaxGenerations:         d.Int(),
-			Seed:                   d.U64(),
-			RecordHistory:          d.Bool(),
-			Objective:              obj,
-		},
+		Base:         gap.DecodeParams(d),
 	}
+	p.Base.RecordHistory = d.Bool()
+	p.Base.Objective = obj
+	return p
 }
 
 // validateHeader rejects decoded parameters that a constructor could
@@ -150,34 +133,11 @@ func Restore(data []byte, obj gap.Objective) (*Archipelago, error) {
 }
 
 // restoreDeme rebuilds deme i (global index, for error context) from
-// its sub-snapshot, dispatching on the sub-snapshot's kind.
+// its "gap" sub-snapshot.
 func restoreDeme(sub []byte, obj gap.Objective, i int) (Deme, error) {
-	kind, err := engine.SnapshotKind(sub)
+	g, err := gap.Restore(sub, obj)
 	if err != nil {
 		return nil, fmt.Errorf("island: deme %d: %w", i, err)
 	}
-	switch kind {
-	case "gap":
-		g, err := gap.Restore(sub, obj)
-		if err != nil {
-			return nil, fmt.Errorf("island: deme %d: %w", i, err)
-		}
-		return g, nil
-	case "lanedemes":
-		// A single-lane group round-trips as an ordinary deme (its
-		// view's Snapshot is the group snapshot). A multi-lane group
-		// embedded per deme would duplicate the shared simulator; such
-		// archipelagos snapshot through the "lanepack" kind instead.
-		g, err := gapcirc.RestoreLaneDemes(sub)
-		if err != nil {
-			return nil, fmt.Errorf("island: deme %d: %w", i, err)
-		}
-		if g.NumDemes() != 1 {
-			return nil, fmt.Errorf("island: deme %d is a %d-lane group; lane-packed archipelagos restore via RestoreLanePack",
-				i, g.NumDemes())
-		}
-		return g.Demes()[0], nil
-	default:
-		return nil, fmt.Errorf("island: deme %d has unknown snapshot kind %q", i, kind)
-	}
+	return g, nil
 }

@@ -58,7 +58,7 @@ type Transport interface {
 
 // Loopback is the in-process transport: every deme is local, so the
 // emigrant batch is returned unchanged and the fleet is done exactly
-// when the local shard is. New and NewWithDemes use it implicitly.
+// when the local shard is. New and NewLanePack use it implicitly.
 type Loopback struct{}
 
 // Exchange implements Transport.

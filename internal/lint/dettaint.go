@@ -40,9 +40,9 @@ func (*impureFact) AFact() {}
 // dettaintFn is the per-function summary the taint fixpoint runs over.
 type dettaintFn struct {
 	obj    *types.Func
-	reason string           // direct or propagated impurity ("" = pure so far)
-	calls  []*types.Func    // resolved callees, in source order
-	sites  []*ast.CallExpr  // call sites matching calls, for reporting
+	reason string          // direct or propagated impurity ("" = pure so far)
+	calls  []*types.Func   // resolved callees, in source order
+	sites  []*ast.CallExpr // call sites matching calls, for reporting
 }
 
 func runDettaint(pass *Pass) error {

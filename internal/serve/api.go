@@ -58,8 +58,8 @@ import (
 //
 // Errors come back as {"error": "..."} with the status the registry
 // error maps to: 400 bad spec, 404 unknown run or no snapshot, 409
-// already finished or snapshot pending, 429 queue full, 503 shutting
-// down.
+// already finished or snapshot pending, 413 run spec body over 1 MiB,
+// 429 queue full, 503 shutting down.
 func NewAPI(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", func(w http.ResponseWriter, req *http.Request) {
@@ -106,12 +106,22 @@ func NewAPI(m *Manager) http.Handler {
 	return mux
 }
 
+// maxSpecBytes caps a POST /v1/runs body. A RunSpec is a few hundred
+// bytes of JSON, so a larger body is refused with 413 before it is
+// read into memory.
+const maxSpecBytes = 1 << 20
+
 func handleSubmit(m *Manager, w http.ResponseWriter, req *http.Request) {
 	var spec leonardo.RunSpec
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
 	info, err := m.Submit(spec)

@@ -189,6 +189,27 @@ func TestAPIEndpoints(t *testing.T) {
 	}
 }
 
+// TestAPISpecBodyCap: a run spec body over the 1 MiB cap is refused
+// with 413 before it is decoded, and a normal spec on the same server
+// still submits.
+func TestAPISpecBodyCap(t *testing.T) {
+	m, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	srv := httptest.NewServer(serve.NewAPI(m))
+	defer srv.Close()
+
+	huge := `{"kind":"gap","name":"` + strings.Repeat("a", 2<<20) + `"}`
+	if code := postJSON(t, srv.URL+"/v1/runs", huge, nil); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB spec = %d, want 413", code)
+	}
+	if code := postJSON(t, srv.URL+"/v1/runs", `{"kind":"gap","seed":3,"max_generations":5}`, nil); code != http.StatusCreated {
+		t.Fatalf("normal spec after an oversized one = %d, want 201", code)
+	}
+}
+
 func TestAPIBackpressure(t *testing.T) {
 	m, err := serve.New(serve.Config{Workers: 1, QueueDepth: 1})
 	if err != nil {

@@ -362,7 +362,10 @@ const DefaultLanePackDemes = island.MaxLaneDemes
 // under the same ring-migration semantics as IslandRun. One Step is one
 // epoch for all demes at once — the gate evaluation is one circuit pass
 // per clock cycle regardless of the deme count, which is the whole
-// point.
+// point. It embeds its *IslandRun as the Archipelago field, so Epochs,
+// Params, Result, RunCtx, and the rest are the IslandRun methods; only
+// Snapshot is its own, writing the "lanepack" kind that stores the
+// shared simulator once.
 type LanePackRun = island.LanePack
 
 // NewLanePackRun starts a fresh lane-packed archipelago. p.Demes must
